@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, BoxSet, as_feature_map, box_interior_mask
+from .core import BBox, BoxSet, as_feature_map, box_interior_mask, unit_norm
 
 # Below this total weight the pooled feature falls back to the plain mean.
 _WEIGHT_EPS = 1e-12
@@ -84,12 +84,6 @@ def extract_queries(features: np.ndarray, background_mask: np.ndarray, grid_size
     return QuerySet(vectors=vec, cell_ids=np.asarray(ids, dtype=np.intp), grid_size=grid_size)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    # Zero-norm rows stay zero, which makes their cosine contributions 0.
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
-
-
 def attention_map(features: np.ndarray, queries: QuerySet, boxes: BoxSet) -> np.ndarray:
     """Per-pixel background likelihood in [0, 1].
 
@@ -103,8 +97,9 @@ def attention_map(features: np.ndarray, queries: QuerySet, boxes: BoxSet) -> np.
     inside = box_interior_mask(boxes, h, w).astype(bool)
     if queries.count == 0:
         return np.where(inside, 0.0, 1.0)
-    fhat = _unit_rows(f.reshape(c, -1).T)  # (HW, C)
-    qhat = _unit_rows(queries.vectors.astype(np.float64))  # (J, C)
+    # Zero-norm rows stay zero, which makes their cosine contributions 0.
+    fhat = unit_norm(f.reshape(c, -1).T, axis=1)  # (HW, C)
+    qhat = unit_norm(queries.vectors.astype(np.float64), axis=1)  # (J, C)
     sims = np.maximum(fhat @ qhat.T, 0.0)  # ReLU-truncated cosines
     a = sims.mean(axis=1).reshape(h, w)
     a[~inside] = 1.0

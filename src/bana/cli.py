@@ -24,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clshead, fileio, metrics, nal, pipeline, synth
-from .core import IGNORE, nearest_resize
+from . import clshead, fileio, metrics, pipeline, synth
+from .core import IGNORE
 from .crf import CrfParams, mean_field
-from .pseudolabel import fuse_labels
 
 
 class _UsageError(Exception):
@@ -124,7 +123,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-confidence-dir", default=None,
                    help="write per-image confidence maps as .btf while training")
     p.add_argument("--dump-confidence-every", type=int, default=10,
-                   help="epoch stride for the confidence dumps")
+                   help="epoch stride for the confidence dumps; 0 writes none")
 
     p = sub.add_parser("eval", help="score predictions against references")
     p.add_argument("--pred-dir", required=True)
@@ -157,25 +156,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_train_head(args) -> int:
     features_dir, boxes_dir = Path(args.features_dir), Path(args.boxes_dir)
-    ids = sorted(p.stem for p in features_dir.glob("*.btf"))
-    if not ids:
-        raise FileNotFoundError(f"no .btf feature maps under {features_dir}")
-    xs, ys, top = [], [], 0
-    for image_id in ids:
-        f = fileio.read_tensor(features_dir / f"{image_id}.btf", expected_rank=3)
-        boxes = fileio.read_boxes(boxes_dir / f"{image_id}.json")
-        top = max([top] + [b.class_id for b in boxes.boxes])
-        x, y = pipeline.collect_training_samples(f, boxes, args.grid_size)
-        xs.append(x)
-        ys.append(y)
-    num_classes = args.classes if args.classes is not None else top
-    if num_classes < 1:
-        raise ValueError("could not infer the number of classes; pass --classes")
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    head = clshead.init_head(num_classes, x.shape[1], mode=args.mode, seed=args.seed)
-    head, losses = clshead.sgd_train(head, x, y, epochs=args.epochs, lr=args.lr, seed=args.seed)
+    ids = pipeline.stage_ids(features_dir, ".btf", "train-head")
+    num_classes = pipeline.resolve_num_classes(args.classes, None, pipeline.box_class_ids(boxes_dir, ids))
+    head, losses = pipeline.train_head(
+        features_dir, boxes_dir, ids, num_classes,
+        grid_size=args.grid_size, epochs=args.epochs, lr=args.lr, mode=args.mode, seed=args.seed,
+    )
     clshead.save_head(args.out, head)
-    print(f"trained on {x.shape[0]} samples, final loss {losses[-1]:.4f} -> {args.out}")
+    print(f"final loss {losses[-1]:.4f} -> {args.out}")
     return 0
 
 
@@ -184,9 +172,8 @@ def _cmd_labels(args) -> int:
     boxes = fileio.read_boxes(args.boxes)
     image = fileio.read_image(args.image)
     head = clshead.load_head(args.head)
-    tau = args.attn_threshold if args.attn_threshold > 0 else None
     fused, attn, rates = pipeline.generate_labels_for_image(
-        f, boxes, image, head, grid_size=args.grid_size, tau=tau, crf_params=_crf_params(args)
+        f, boxes, image, head, grid_size=args.grid_size, tau=args.attn_threshold, crf_params=_crf_params(args)
     )
     fileio.write_label_map(args.out_crf, fused.y_crf)
     fileio.write_label_map(args.out_ret, fused.y_ret)
@@ -212,66 +199,26 @@ def _cmd_crf(args) -> int:
 
 
 def _cmd_nal_train(args) -> int:
-    features_dir = Path(args.features_dir)
-    crf_dir, ret_dir = Path(args.labels_crf_dir), Path(args.labels_ret_dir)
-    ids = sorted(p.stem for p in features_dir.glob("*.btf"))
-    if not ids:
-        raise FileNotFoundError(f"no .btf feature maps under {features_dir}")
-    samples = []
-    num_classes = args.classes
-    if num_classes is None:
-        num_classes = 0
-        for image_id in ids:
-            y = fileio.read_label_map(crf_dir / f"{image_id}.pgm")
-            real = y[y != IGNORE]
-            if real.size:
-                num_classes = max(num_classes, int(real.max()))
-        if num_classes < 1:
-            raise ValueError("could not infer the number of classes; pass --classes")
-    for image_id in ids:
-        f = fileio.read_tensor(features_dir / f"{image_id}.btf", expected_rank=3)
-        y_crf = fileio.read_label_map(crf_dir / f"{image_id}.pgm", num_classes)
-        y_ret = fileio.read_label_map(ret_dir / f"{image_id}.pgm", num_classes)
-        fh, fw = f.shape[1], f.shape[2]
-        samples.append((f, fuse_labels(nearest_resize(y_crf, fh, fw), nearest_resize(y_ret, fh, fw))))
-    hook = None
-    if args.dump_confidence_dir:
-        conf_dir = Path(args.dump_confidence_dir)
-        conf_dir.mkdir(parents=True, exist_ok=True)
-
-        def hook(epoch, index, sigma):
-            if epoch % max(args.dump_confidence_every, 1) == 0:
-                fileio.write_tensor(conf_dir / f"{ids[index]}_epoch{epoch:03d}.btf", sigma.astype(np.float32))
-
-    head, losses = nal.train_seg_head(
-        samples, num_classes, gamma=args.gamma, lam=args.lam,
-        epochs=args.epochs, lr=args.lr, seed=args.seed, confidence_hook=hook,
+    features_dir, crf_dir = Path(args.features_dir), Path(args.labels_crf_dir)
+    ids = pipeline.stage_ids(features_dir, ".btf", "nal-train")
+    num_classes = pipeline.resolve_num_classes(args.classes, None, pipeline.label_class_ids(crf_dir, ids))
+    head, losses = pipeline.nal_train(
+        features_dir, crf_dir, Path(args.labels_ret_dir), ids, num_classes,
+        gamma=args.gamma, lam=args.lam, epochs=args.epochs, lr=args.lr, seed=args.seed,
+        confidence_dir=Path(args.dump_confidence_dir) if args.dump_confidence_dir else None,
+        confidence_every=args.dump_confidence_every,
     )
     clshead.save_head(args.out_head, head)
     if args.loss_csv:
-        lines = ["epoch,loss"] + [f"{e},{v:.12g}" for e, v in enumerate(losses)]
-        fileio.write_text(args.loss_csv, "\n".join(lines) + "\n")
+        pipeline.write_loss_csv(args.loss_csv, losses)
     print(f"final loss {losses[-1]:.4f} -> {args.out_head}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    pred_dir, ref_dir = Path(args.pred_dir), Path(args.ref_dir)
-    ids = sorted(p.stem for p in pred_dir.glob("*.pgm"))
-    if not ids:
-        raise FileNotFoundError(f"no .pgm predictions under {pred_dir}")
-    n = args.classes + 1
-    cm = np.zeros((n, n), dtype=np.int64)
-    for image_id in ids:
-        pred = fileio.read_label_map(pred_dir / f"{image_id}.pgm", args.classes)
-        ref = fileio.read_label_map(ref_dir / f"{image_id}.pgm", args.classes)
-        cm += metrics.confusion(pred, ref, args.classes)
-    mean_iou, per_class = metrics.miou(cm)
-    report = {
-        "miou": mean_iou,
-        "per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
-        "pixel_acc": metrics.pixel_accuracy(cm),
-    }
+    pred_dir = Path(args.pred_dir)
+    ids = pipeline.stage_ids(pred_dir, ".pgm", "eval")
+    report = metrics.score(pipeline.label_confusion(pred_dir, Path(args.ref_dir), ids, args.classes))
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_feature_map
+from .core import as_feature_map, unit_norm
 from . import fileio
 
 MODES = ("dot", "cosine")
@@ -59,11 +59,6 @@ def init_head(num_classes: int, dim: int, *, mode: str = "dot", scale: float = 1
     return ClassifierHead(weights=w, mode=mode, scale=scale)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
-
-
 def logits(head: ClassifierHead, x: np.ndarray) -> np.ndarray:
     """Class scores for one (C,) vector or a batch (n, C)."""
     x = np.asarray(x, dtype=np.float64)
@@ -75,7 +70,7 @@ def logits(head: ClassifierHead, x: np.ndarray) -> np.ndarray:
     if head.mode == "dot":
         z = x @ head.weights.T
     else:
-        z = head.scale * (_unit_rows(x) @ _unit_rows(head.weights).T)
+        z = head.scale * (unit_norm(x, axis=1) @ unit_norm(head.weights, axis=1).T)
     return z[0] if single else z
 
 
@@ -117,8 +112,8 @@ def weighted_ce_loss_and_grad(
     if head.mode == "dot":
         grad = dz.T @ x
     else:
-        xhat = _unit_rows(x)
-        what = _unit_rows(head.weights)
+        xhat = unit_norm(x, axis=1)
+        what = unit_norm(head.weights, axis=1)
         wnorm = np.linalg.norm(head.weights, axis=1)
         cos = xhat @ what.T  # (n, L+1)
         # d logit_c / d w_c = s / |w_c| * (xhat - cos * what_c)
@@ -136,6 +131,16 @@ def ce_loss_and_grad(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -
         raise ValueError("need a nonempty (n, C) batch")
     w = np.full(x.shape[0], 1.0 / x.shape[0])
     return weighted_ce_loss_and_grad(head, x, targets, w)
+
+
+def lr_schedule(lr: float | list[float], epochs: int) -> list[float]:
+    """Per-epoch learning rates from a scalar or a schedule of ``epochs`` entries."""
+    if isinstance(lr, (int, float)):
+        return [float(lr)] * epochs
+    schedule = [float(v) for v in lr]
+    if len(schedule) != epochs:
+        raise ValueError(f"lr schedule has {len(schedule)} entries for {epochs} epochs")
+    return schedule
 
 
 def sgd_train(
@@ -158,12 +163,7 @@ def sgd_train(
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(targets, dtype=np.intp)
-    if isinstance(lr, (int, float)):
-        schedule = [float(lr)] * epochs
-    else:
-        schedule = [float(v) for v in lr]
-        if len(schedule) != epochs:
-            raise ValueError(f"lr schedule has {len(schedule)} entries for {epochs} epochs")
+    schedule = lr_schedule(lr, epochs)
     rng = np.random.default_rng(seed)
     w = head.weights.copy()
     velocity = np.zeros_like(w)
@@ -218,11 +218,20 @@ def save_head(path: str | os.PathLike, head: ClassifierHead) -> None:
     fileio.write_text(sidecar, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+# Sidecar fields and their exact JSON types (so bool, a subclass of int, fails).
+_SIDECAR_FIELDS = {"num_classes": (int,), "dim": (int,), "mode": (str,), "scale": (int, float)}
+
+
 def load_head(path: str | os.PathLike) -> ClassifierHead:
     path = Path(path)
     w = fileio.read_tensor(path, expected_rank=2)
     sidecar = path.with_suffix(path.suffix + ".json")
     meta = json.loads(sidecar.read_text("ascii"))
+    for key, kinds in _SIDECAR_FIELDS.items():
+        if not isinstance(meta, dict) or key not in meta:
+            raise fileio.FileFormatError(f"{sidecar}: missing required key '{key}'")
+        if type(meta[key]) not in kinds:
+            raise fileio.FileFormatError(f"{sidecar}: '{key}' has the wrong type: {meta[key]!r}")
     if w.shape != (meta["num_classes"] + 1, meta["dim"]):
         raise fileio.FileFormatError(
             f"{path}: weight shape {w.shape} does not match sidecar "

@@ -158,6 +158,16 @@ def as_feature_map(arr: np.ndarray) -> np.ndarray:
     return a
 
 
+def unit_norm(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x`` scaled to unit L2 norm along ``axis``; zero-norm slices stay zero.
+
+    Callers pass the axis of their own layout rather than transposing, since
+    a transpose changes numpy's summation order and can move the last bit.
+    """
+    norms = np.linalg.norm(x, axis=axis, keepdims=True)
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
+
+
 def validate_label_map(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
     """Check a (H, W) label map; values must be in {0..L} or IGNORE."""
     y = np.asarray(labels)

@@ -8,13 +8,17 @@ Potts model whose pairwise kernel is the usual pair of Gaussians:
     k(i, j) = w1 * exp(-|p_i - p_j|^2 / (2 ta^2) - |I_i - I_j|^2 / (2 tb^2))
             + w2 * exp(-|p_i - p_j|^2 / (2 tg^2))
 
-Two message-passing engines share the same update step:
+Two message-passing engines share the same update step; ``mean_field``
+selects one with ``method``:
 
-* ``naive``    -- exact O((HW)^2) pairwise sums over the full kernel matrix;
-                  small images only; serves as the equivalence oracle.
+* ``dense``    -- exact O((HW)^2) pairwise sums over the full kernel matrix;
+                  limited by the kernel's memory. ``mean_field_naive`` runs it
+                  on small images as the equivalence oracle.
 * ``windowed`` -- truncated-window sums with radius 3 * max spatial
-                  bandwidth; identical to the naive sums whenever the window
+                  bandwidth; identical to the dense sums whenever the window
                   covers the whole image.
+* ``auto``     -- dense when the window covers the whole image and the kernel
+                  fits, windowed otherwise.
 
 Inference is deterministic: fixed iteration count, no randomness.
 """
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clshead import softmax
 from .core import BoxSet, bilinear_resize, box_interior_mask
 
 # Largest kernel matrix (entries) the dense engines will allocate.
@@ -118,10 +123,7 @@ def _unary_potentials(unary: np.ndarray, floor: float) -> np.ndarray:
 def _update(psi: np.ndarray, msg: np.ndarray) -> np.ndarray:
     # Potts mean-field step; the constant sum_j k(i,j) cancels in the
     # per-pixel normalization, leaving Q ~ exp(-psi + msg).
-    z = msg - psi
-    z -= z.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    return softmax(msg - psi, axis=0)
 
 
 def _kernel_matrix(image: np.ndarray, params: CrfParams) -> np.ndarray:

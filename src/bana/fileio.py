@@ -214,7 +214,8 @@ def read_boxes(path: str | os.PathLike) -> BoxSet:
     for key in ("width", "height", "boxes"):
         if key not in obj:
             raise FileFormatError(f"{path}: missing required key '{key}'")
-    if not isinstance(obj["width"], int) or not isinstance(obj["height"], int):
+    # type(), not isinstance(): JSON true/false decode to bool, a subclass of int.
+    if type(obj["width"]) is not int or type(obj["height"]) is not int:
         raise FileFormatError(f"{path}: width/height must be integers")
     if not isinstance(obj["boxes"], list):
         raise FileFormatError(f"{path}: 'boxes' must be a list")
@@ -226,7 +227,7 @@ def read_boxes(path: str | os.PathLike) -> BoxSet:
             vals = {k: rec[k] for k in ("class", "xmin", "ymin", "xmax", "ymax")}
         except KeyError as e:
             raise FileFormatError(f"{path}: boxes[{i}] missing key {e.args[0]!r}") from e
-        if not all(isinstance(v, int) for v in vals.values()):
+        if not all(type(v) is int for v in vals.values()):
             raise FileFormatError(f"{path}: boxes[{i}] fields must be integers")
         try:
             parsed.append(BBox(vals["class"], vals["xmin"], vals["ymin"], vals["xmax"], vals["ymax"]))

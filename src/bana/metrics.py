@@ -48,3 +48,14 @@ def pixel_accuracy(cm: np.ndarray) -> float:
     cm = np.asarray(cm, dtype=np.float64)
     total = cm.sum()
     return float(np.diag(cm).sum() / total) if total > 0 else float("nan")
+
+
+def score(cm: np.ndarray) -> dict:
+    """The JSON report of a confusion matrix: mIoU, per-class IoU (None for
+    classes absent from both maps) and pixel accuracy."""
+    mean_iou, per_class = miou(cm)
+    return {
+        "miou": mean_iou,
+        "per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
+        "pixel_accuracy": pixel_accuracy(cm),
+    }

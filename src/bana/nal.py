@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clshead import ClassifierHead, logits, softmax, weighted_ce_loss_and_grad
-from .core import IGNORE, as_feature_map, bilinear_resize, validate_label_map
+from .clshead import ClassifierHead, logits, lr_schedule, softmax, weighted_ce_loss_and_grad
+from .core import IGNORE, as_feature_map, bilinear_resize, unit_norm, validate_label_map
 from .pseudolabel import FusedLabels
 
 
@@ -41,11 +41,7 @@ def correlation_maps(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
     f = as_feature_map(features)
     if f.shape[0] != head.dim:
         raise ValueError(f"feature channels {f.shape[0]} do not match head dim {head.dim}")
-    fnorm = np.linalg.norm(f, axis=0, keepdims=True)
-    fhat = np.divide(f, fnorm, out=np.zeros_like(f), where=fnorm > 0.0)
-    wnorm = np.linalg.norm(head.weights, axis=1, keepdims=True)
-    what = np.divide(head.weights, wnorm, out=np.zeros_like(head.weights), where=wnorm > 0.0)
-    return 1.0 + np.einsum("kc,chw->khw", what, fhat)
+    return 1.0 + np.einsum("kc,chw->khw", unit_norm(head.weights, axis=1), unit_norm(f, axis=0))
 
 
 def confidence_map(correlations: np.ndarray, y_crf: np.ndarray, gamma: float) -> np.ndarray:
@@ -143,8 +139,6 @@ def train_seg_head(
     weight_decay: float = 5e-4,
     seed: int = 0,
     scale: float = 15.0,
-    init_std: float = 1e-2,
-    normalize_weights: bool = True,
     confidence_hook=None,
 ) -> tuple[ClassifierHead, list[float]]:
     """SGD over (features, fused labels) images with the noise-aware loss.
@@ -152,8 +146,8 @@ def train_seg_head(
     The head scores by scaled cosine similarity, so its weights act as class
     centers in feature space. Cosine gradients are orthogonal to the weight
     rows and only ever inflate their norms, which starves the effective step
-    size; ``normalize_weights`` therefore projects the rows back onto the
-    unit sphere after every update (weight decay is immaterial then).
+    size; the rows are therefore projected back onto the unit sphere after
+    every update (weight decay is immaterial then).
     Confidence weights are recomputed from the current weights at every
     step. ``confidence_hook(epoch, index, sigma)``, when given, receives the
     confidence map of each image once per epoch. Deterministic for a fixed
@@ -163,17 +157,10 @@ def train_seg_head(
         raise ValueError("need at least one training image")
     dim = as_feature_map(samples[0][0]).shape[0]
     rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, init_std, size=(num_classes + 1, dim))
-    if normalize_weights:
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w = unit_norm(rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)), axis=1)
     head = ClassifierHead(weights=w, mode="cosine", scale=scale)
     velocity = np.zeros_like(head.weights)
-    if isinstance(lr, (int, float)):
-        schedule = [float(lr)] * epochs
-    else:
-        schedule = [float(v) for v in lr]
-        if len(schedule) != epochs:
-            raise ValueError(f"lr schedule has {len(schedule)} entries for {epochs} epochs")
+    schedule = lr_schedule(lr, epochs)
 
     losses = []
     n = len(samples)
@@ -188,11 +175,7 @@ def train_seg_head(
             report, grad = nal_loss_and_grad(features, head, fused, gamma=gamma, lam=lam)
             epoch_loss += report.total
             velocity = momentum * velocity - schedule[epoch] * (grad + weight_decay * head.weights)
-            w = head.weights + velocity
-            if normalize_weights:
-                norms = np.linalg.norm(w, axis=1, keepdims=True)
-                w = np.divide(w, norms, out=w, where=norms > 0.0)
-            head = replace(head, weights=w)
+            head = replace(head, weights=unit_norm(head.weights + velocity, axis=1))
         losses.append(epoch_loss / n)
     return head, losses
 

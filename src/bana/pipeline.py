@@ -1,4 +1,4 @@
-"""Three-stage pipeline over a directory corpus, plus controlled experiments.
+"""Four-stage pipeline over a directory corpus, plus controlled experiments.
 
 Stages (each resumable on its own, reading earlier artifacts from disk):
 
@@ -12,6 +12,9 @@ Stages (each resumable on its own, reading earlier artifacts from disk):
 4. ``eval``: score pseudo labels and segmentation predictions against
    ground truth (when the corpus has one) into metrics.json.
 
+Each stage has one implementation (``train_head``, ``generate_labels_for_image``,
+``nal_train``, ``label_confusion``) taking explicit inputs; the ``run_*_stage``
+functions feed it from a config and the ``bana`` subcommands from their flags.
 Every stage is deterministic under a fixed config: rerunning produces
 byte-identical artifacts. Per-image work is independent, so the labels
 stage can fan out over a worker pool without changing any output.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,27 +143,40 @@ def _require(path: Path, stage: str, what: str) -> Path:
     return path
 
 
-def _corpus_ids(corpus: Path, stage: str) -> list[str]:
-    feats = _require(corpus / "features", stage, "features directory")
-    ids = sorted(p.stem for p in feats.glob("*.btf"))
+def stage_ids(directory: Path, suffix: str, stage: str) -> list[str]:
+    ids = sorted(p.stem for p in _require(directory, stage, "input directory").glob("*" + suffix))
     if not ids:
-        raise PipelineError(f"stage '{stage}': no .btf feature maps under {feats}")
+        raise PipelineError(f"stage '{stage}': no {suffix} files under {directory}")
     return ids
 
 
-def _resolve_num_classes(cfg: PipelineConfig, corpus: Path, ids: list[str]) -> int:
-    if cfg.num_classes is not None:
-        return cfg.num_classes
-    meta = corpus / "meta.json"
-    if meta.exists():
-        return int(json.loads(meta.read_text("ascii"))["num_classes"])
-    top = 0
+def box_class_ids(boxes_dir: Path, ids: list[str]) -> Iterator[int]:
     for image_id in ids:
-        boxes = fileio.read_boxes(corpus / "boxes" / f"{image_id}.json")
-        top = max([top] + [b.class_id for b in boxes.boxes])
+        yield from (b.class_id for b in fileio.read_boxes(boxes_dir / f"{image_id}.json").boxes)
+
+
+def label_class_ids(labels_dir: Path, ids: list[str]) -> Iterator[int]:
+    for image_id in ids:
+        y = fileio.read_label_map(labels_dir / f"{image_id}.pgm")
+        yield from np.unique(y[y != IGNORE]).tolist()
+
+
+def resolve_num_classes(num_classes: int | None, meta: Path | None, class_ids: Iterable[int]) -> int:
+    """The number of object classes L, by one rule for every caller: an explicit
+    ``num_classes``, else the one recorded in the corpus ``meta`` file when given
+    and present, else the highest id in ``class_ids`` (consumed only then)."""
+    if num_classes is not None:
+        return num_classes
+    if meta is not None and meta.exists():
+        return int(json.loads(meta.read_text("ascii"))["num_classes"])
+    top = max(class_ids, default=0)
     if top < 1:
-        raise PipelineError("cannot infer num_classes: the corpus has no boxes")
+        raise PipelineError("cannot infer num_classes: no object class in the annotations; give it explicitly")
     return top
+
+
+def _corpus_num_classes(cfg: PipelineConfig, corpus: Path, ids: list[str]) -> int:
+    return resolve_num_classes(cfg.num_classes, corpus / "meta.json", box_class_ids(corpus / "boxes", ids))
 
 
 # ---------------------------------------------------------------------------
@@ -189,41 +206,39 @@ def collect_training_samples(
     return np.stack(vecs), np.asarray(targets, dtype=np.intp)
 
 
-def _head_schedule(cfg: PipelineConfig) -> list[float]:
-    if cfg.head_lr_drop_epoch is None:
-        return [cfg.head_lr] * cfg.head_epochs
-    return [
-        cfg.head_lr if e < cfg.head_lr_drop_epoch else cfg.head_lr / 10.0
-        for e in range(cfg.head_epochs)
-    ]
-
-
-def run_train_head_stage(cfg: PipelineConfig) -> Path:
-    corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
-    ids = _corpus_ids(corpus, "train-head")
-    num_classes = _resolve_num_classes(cfg, corpus, ids)
+def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes: int, *, grid_size: int,
+               mode: str = "dot", scale: float = 15.0, seed: int = 0, **sgd) -> tuple[ClassifierHead, list[float]]:
+    """Stage 1: fit the (L+1)-way head on every image's pooled box features and
+    background queries; returns the head and per-epoch losses. ``sgd`` holds
+    the other keyword arguments of :func:`~bana.clshead.sgd_train`."""
     xs, ys = [], []
     for image_id in ids:
-        f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
-        boxes = fileio.read_boxes(_require(corpus / "boxes" / f"{image_id}.json", "train-head", "boxes file"))
-        x, y = collect_training_samples(f, boxes, cfg.grid_size_train)
+        f = fileio.read_tensor(features_dir / f"{image_id}.btf", expected_rank=3)
+        boxes = fileio.read_boxes(_require(boxes_dir / f"{image_id}.json", "train-head", "boxes file"))
+        x, y = collect_training_samples(f, boxes, grid_size)
         xs.append(x)
         ys.append(y)
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     if x.shape[0] == 0:
         raise PipelineError("stage 'train-head': the corpus yielded no training samples")
-    head = init_head(num_classes, x.shape[1], mode=cfg.head_mode, scale=cfg.head_scale, seed=cfg.seed)
-    head, _ = sgd_train(
-        head,
-        x,
-        y,
-        epochs=cfg.head_epochs,
-        lr=_head_schedule(cfg),
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        batch_size=cfg.head_batch_size,
-        seed=cfg.seed,
+    head = init_head(num_classes, x.shape[1], mode=mode, scale=scale, seed=seed)
+    return sgd_train(head, x, y, seed=seed, **sgd)
+
+
+def _head_schedule(cfg: PipelineConfig) -> list[float]:
+    drop = cfg.head_epochs if cfg.head_lr_drop_epoch is None else cfg.head_lr_drop_epoch
+    return [cfg.head_lr if e < drop else cfg.head_lr / 10.0 for e in range(cfg.head_epochs)]
+
+
+def run_train_head_stage(cfg: PipelineConfig) -> Path:
+    corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
+    ids = stage_ids(corpus / "features", ".btf", "train-head")
+    head, _ = train_head(
+        corpus / "features", corpus / "boxes", ids, _corpus_num_classes(cfg, corpus, ids),
+        grid_size=cfg.grid_size_train, mode=cfg.head_mode, scale=cfg.head_scale, seed=cfg.seed,
+        epochs=cfg.head_epochs, lr=_head_schedule(cfg), momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay, batch_size=cfg.head_batch_size,
     )
     head_dir = out / "head"
     head_dir.mkdir(parents=True, exist_ok=True)
@@ -277,9 +292,8 @@ def _labels_worker(job: tuple) -> tuple[str, list[tuple[int, float]]]:
     boxes = fileio.read_boxes(corpus / "boxes" / f"{image_id}.json")
     image = fileio.read_image(corpus / "images" / f"{image_id}.ppm")
     head = clshead.load_head(out / "head" / "classifier.btf")
-    tau = cfg.attn_threshold if cfg.attn_threshold > 0 else None
     fused, attn, rates = generate_labels_for_image(
-        f, boxes, image, head, grid_size=cfg.grid_size_label, tau=tau, crf_params=cfg.crf_params()
+        f, boxes, image, head, grid_size=cfg.grid_size_label, tau=cfg.attn_threshold, crf_params=cfg.crf_params()
     )
     fileio.write_label_map(out / "labels" / "crf" / f"{image_id}.pgm", fused.y_crf)
     fileio.write_label_map(out / "labels" / "ret" / f"{image_id}.pgm", fused.y_ret)
@@ -291,7 +305,7 @@ def _labels_worker(job: tuple) -> tuple[str, list[tuple[int, float]]]:
 
 def run_labels_stage(cfg: PipelineConfig) -> Path:
     corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
-    ids = _corpus_ids(corpus, "labels")
+    ids = stage_ids(corpus / "features", ".btf", "labels")
     _require(out / "head" / "classifier.btf", "labels", "classifier head (run train-head first)")
     for sub in ("crf", "ret", "fused"):
         (out / "labels" / sub).mkdir(parents=True, exist_ok=True)
@@ -323,58 +337,66 @@ def run_labels_stage(cfg: PipelineConfig) -> Path:
 
 
 def _load_seg_samples(
-    cfg: PipelineConfig, ids: list[str], num_classes: int, stage: str
+    features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], num_classes: int
 ) -> list[tuple[np.ndarray, FusedLabels]]:
-    corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
     samples = []
     for image_id in ids:
-        f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
+        f = fileio.read_tensor(features_dir / f"{image_id}.btf", expected_rank=3)
         y_crf = fileio.read_label_map(
-            _require(out / "labels" / "crf" / f"{image_id}.pgm", stage, "CRF labels (run the labels stage first)"),
+            _require(crf_dir / f"{image_id}.pgm", "nal-train", "CRF labels (run the labels stage first)"),
             num_classes,
         )
         y_ret = fileio.read_label_map(
-            _require(out / "labels" / "ret" / f"{image_id}.pgm", stage, "retrieval labels"), num_classes
+            _require(ret_dir / f"{image_id}.pgm", "nal-train", "retrieval labels"), num_classes
         )
         fh, fw = f.shape[1], f.shape[2]
         samples.append((f, fuse_labels(nearest_resize(y_crf, fh, fw), nearest_resize(y_ret, fh, fw))))
     return samples
 
 
-def run_nal_train_stage(cfg: PipelineConfig) -> Path:
-    corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
-    ids = _corpus_ids(corpus, "nal-train")
-    num_classes = _resolve_num_classes(cfg, corpus, ids)
-    samples = _load_seg_samples(cfg, ids, num_classes, "nal-train")
-
+def nal_train(features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], num_classes: int, *,
+              confidence_dir: Path | None = None, confidence_every: int = 0,
+              **settings) -> tuple[ClassifierHead, list[float]]:
+    """Stage 3: train the cosine segmentation head on the fused labels with the
+    noise-aware loss; returns the head and per-epoch losses. ``settings`` holds
+    the keyword arguments of :func:`~bana.nal.train_seg_head`. Each image's
+    confidence map goes to ``confidence_dir`` at epochs 0, N, 2N, ... for
+    ``confidence_every`` N >= 1; N = 0 writes none."""
+    samples = _load_seg_samples(features_dir, crf_dir, ret_dir, ids, num_classes)
     hook = None
-    if cfg.dump_confidence_every > 0:
-        conf_dir = out / "confidence"
-        conf_dir.mkdir(parents=True, exist_ok=True)
+    if confidence_dir is not None and confidence_every > 0:
+        confidence_dir.mkdir(parents=True, exist_ok=True)
 
         def hook(epoch, index, sigma):
-            if epoch % cfg.dump_confidence_every == 0:
-                fileio.write_tensor(conf_dir / f"{ids[index]}_epoch{epoch:03d}.btf", sigma.astype(np.float32))
+            if epoch % confidence_every == 0:
+                fileio.write_tensor(confidence_dir / f"{ids[index]}_epoch{epoch:03d}.btf", sigma.astype(np.float32))
 
-    head, losses = nal.train_seg_head(
-        samples,
-        num_classes,
-        gamma=cfg.gamma,
-        lam=cfg.lam,
-        epochs=cfg.seg_epochs,
-        lr=cfg.seg_lr,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        seed=cfg.seed,
-        scale=cfg.seg_scale,
-        confidence_hook=hook,
+    return nal.train_seg_head(samples, num_classes, confidence_hook=hook, **settings)
+
+
+def _seg_settings(cfg: PipelineConfig) -> dict:
+    return dict(gamma=cfg.gamma, lam=cfg.lam, epochs=cfg.seg_epochs, lr=cfg.seg_lr, momentum=cfg.momentum,
+                weight_decay=cfg.weight_decay, seed=cfg.seed, scale=cfg.seg_scale)
+
+
+def write_loss_csv(path: str | Path, losses: list[float]) -> None:
+    lines = ["epoch,loss"] + [f"{e},{v:.12g}" for e, v in enumerate(losses)]
+    fileio.write_text(path, "\n".join(lines) + "\n")
+
+
+def run_nal_train_stage(cfg: PipelineConfig) -> Path:
+    corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
+    ids = stage_ids(corpus / "features", ".btf", "nal-train")
+    head, losses = nal_train(
+        corpus / "features", out / "labels" / "crf", out / "labels" / "ret", ids,
+        _corpus_num_classes(cfg, corpus, ids), confidence_dir=out / "confidence",
+        confidence_every=cfg.dump_confidence_every, **_seg_settings(cfg),
     )
     seg_dir = out / "seg"
     seg_dir.mkdir(parents=True, exist_ok=True)
     path = seg_dir / "seg_head.btf"
     clshead.save_head(path, head)
-    loss_lines = ["epoch,loss"] + [f"{e},{v:.12g}" for e, v in enumerate(losses)]
-    fileio.write_text(seg_dir / "nal_loss.csv", "\n".join(loss_lines) + "\n")
+    write_loss_csv(seg_dir / "nal_loss.csv", losses)
     return path
 
 
@@ -383,62 +405,56 @@ def run_nal_train_stage(cfg: PipelineConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _score(cm: np.ndarray) -> dict:
-    mean_iou, per_class = metrics.miou(cm)
-    return {
-        "miou": mean_iou,
-        "per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
-        "pixel_accuracy": metrics.pixel_accuracy(cm),
-    }
+def label_confusion(pred_dir: Path, ref_dir: Path, ids: list[str], num_classes: int) -> np.ndarray:
+    """Stage 4's scoring: the confusion matrix of the label maps in
+    ``pred_dir`` against those in ``ref_dir``, summed over ``ids``."""
+    n = num_classes + 1
+    cm = np.zeros((n, n), dtype=np.int64)
+    for image_id in ids:
+        pred = fileio.read_label_map(pred_dir / f"{image_id}.pgm", num_classes)
+        ref = fileio.read_label_map(ref_dir / f"{image_id}.pgm", num_classes)
+        cm += metrics.confusion(pred, ref, num_classes)
+    return cm
 
 
 def run_eval_stage(cfg: PipelineConfig) -> Path:
     corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
-    ids = _corpus_ids(corpus, "eval")
-    num_classes = _resolve_num_classes(cfg, corpus, ids)
+    ids = stage_ids(corpus / "features", ".btf", "eval")
+    num_classes = _corpus_num_classes(cfg, corpus, ids)
     gt_dir = _require(corpus / "gt", "eval", "ground-truth directory")
 
-    n = num_classes + 1
-    cms = {name: np.zeros((n, n), dtype=np.int64) for name in ("crf", "ret", "fused", "seg")}
-    have_labels = (out / "labels" / "crf").exists()
+    labels_dir = out / "labels"
+    have_labels = (labels_dir / "crf").exists()
     seg_head_path = out / "seg" / "seg_head.btf"
     have_seg = seg_head_path.exists()
     if not have_labels and not have_seg:
         raise PipelineError("stage 'eval': nothing to evaluate; run the labels or nal-train stage first")
-    seg_head = clshead.load_head(seg_head_path) if have_seg else None
-    if have_seg:
-        (out / "preds").mkdir(parents=True, exist_ok=True)
-
-    ignored = total = 0
     for image_id in ids:
-        gt = fileio.read_label_map(_require(gt_dir / f"{image_id}.pgm", "eval", "ground-truth map"), num_classes)
-        if have_labels:
-            y_crf = fileio.read_label_map(out / "labels" / "crf" / f"{image_id}.pgm", num_classes)
-            y_ret = fileio.read_label_map(out / "labels" / "ret" / f"{image_id}.pgm", num_classes)
-            fused = fileio.read_label_map(out / "labels" / "fused" / f"{image_id}.pgm", num_classes)
-            cms["crf"] += metrics.confusion(y_crf, gt, num_classes)
-            cms["ret"] += metrics.confusion(y_ret, gt, num_classes)
-            # Per-class IoU is symmetric in the two maps, so scoring the
-            # fused map as the "reference" skips exactly its IGNORE pixels.
-            cms["fused"] += metrics.confusion(gt, fused, num_classes)
-            ignored += int((fused == IGNORE).sum())
-            total += fused.size
-        if have_seg:
-            f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
-            pred = nal.predict_labels(f, seg_head, gt.shape[0], gt.shape[1])
-            fileio.write_label_map(out / "preds" / f"{image_id}.pgm", pred)
-            cms["seg"] += metrics.confusion(pred, gt, num_classes)
+        _require(gt_dir / f"{image_id}.pgm", "eval", "ground-truth map")
 
     report: dict = {}
     if have_labels:
+        crf = label_confusion(labels_dir / "crf", gt_dir, ids, num_classes)
+        # Per-class IoU is symmetric in the two maps, so scoring the fused map
+        # as the "reference" skips exactly its IGNORE pixels.
+        fused = label_confusion(gt_dir, labels_dir / "fused", ids, num_classes)
+        # The ground truth holds no IGNORE pixel (it was accepted as the
+        # prediction just above), so the CRF matrix counts every pixel.
+        total = int(crf.sum())
         report["pseudo_labels"] = {
-            "crf": _score(cms["crf"]),
-            "ret": _score(cms["ret"]),
-            "fused_claimed": _score(cms["fused"]),
-            "fused_coverage": 1.0 - ignored / total if total else None,
+            "crf": metrics.score(crf),
+            "ret": metrics.score(label_confusion(labels_dir / "ret", gt_dir, ids, num_classes)),
+            "fused_claimed": metrics.score(fused),
+            "fused_coverage": 1.0 - (total - int(fused.sum())) / total,
         }
     if have_seg:
-        report["segmentation"] = _score(cms["seg"])
+        seg_head = clshead.load_head(seg_head_path)
+        (out / "preds").mkdir(parents=True, exist_ok=True)
+        for image_id in ids:
+            f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
+            h, w = fileio.read_label_map(gt_dir / f"{image_id}.pgm").shape
+            fileio.write_label_map(out / "preds" / f"{image_id}.pgm", nal.predict_labels(f, seg_head, h, w))
+        report["segmentation"] = metrics.score(label_confusion(out / "preds", gt_dir, ids, num_classes))
     path = out / "metrics.json"
     fileio.write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
@@ -516,13 +532,13 @@ def noise_robustness_experiment(
       everywhere, with no fusion and no weighting.
 
     All variants share the seed, the init, and the same corrupted labels;
-    returns their mIoU against the clean ground truth, evaluated at image
-    resolution.
+    returns their scores (:func:`bana.metrics.score`) against the clean
+    ground truth, evaluated at image resolution.
     """
-    corpus = Path(cfg.corpus_dir)
-    ids = _corpus_ids(corpus, "nal-train")
-    num_classes = _resolve_num_classes(cfg, corpus, ids)
-    samples = _load_seg_samples(cfg, ids, num_classes, "nal-train")
+    corpus, labels_dir = Path(cfg.corpus_dir), Path(cfg.out_dir) / "labels"
+    ids = stage_ids(corpus / "features", ".btf", "nal-train")
+    num_classes = _corpus_num_classes(cfg, corpus, ids)
+    samples = _load_seg_samples(corpus / "features", labels_dir / "crf", labels_dir / "ret", ids, num_classes)
     if disputed_class is None:
         disputed_class = num_classes
 
@@ -535,19 +551,7 @@ def noise_robustness_experiment(
         )))
 
     def train(sample_list, lam):
-        head, _ = nal.train_seg_head(
-            sample_list,
-            num_classes,
-            gamma=cfg.gamma,
-            lam=lam,
-            epochs=cfg.seg_epochs,
-            lr=cfg.seg_lr,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-            seed=cfg.seed,
-            scale=cfg.seg_scale,
-        )
-        return head
+        return nal.train_seg_head(sample_list, num_classes, **{**_seg_settings(cfg), "lam": lam})[0]
 
     heads = {}
     if "nal" in variants:
@@ -567,9 +571,5 @@ def noise_robustness_experiment(
             gt = fileio.read_label_map(corpus / "gt" / f"{image_id}.pgm", num_classes)
             pred = nal.predict_labels(f, head, gt.shape[0], gt.shape[1])
             cm += metrics.confusion(pred, gt, num_classes)
-        mean_iou, per_class = metrics.miou(cm)
-        result[name] = {
-            "miou": mean_iou,
-            "per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
-        }
+        result[name] = metrics.score(cm)
     return result

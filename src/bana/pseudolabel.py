@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IGNORE, BoxSet, as_feature_map, bilinear_resize, validate_label_map
+from .core import IGNORE, BoxSet, as_feature_map, bilinear_resize, unit_norm, validate_label_map
 
 
 @dataclass
@@ -67,11 +67,7 @@ def retrieval_labels(
     if protos.shape[1] != c:
         raise ValueError(f"prototype dim {protos.shape[1]} does not match feature channels {c}")
 
-    fnorm = np.linalg.norm(f, axis=0, keepdims=True)
-    fhat = np.divide(f, fnorm, out=np.zeros_like(f), where=fnorm > 0.0)
-    pnorm = np.linalg.norm(protos, axis=1, keepdims=True)
-    phat = np.divide(protos, pnorm, out=np.zeros_like(protos), where=pnorm > 0.0)
-    corr = np.einsum("kc,chw->khw", phat, fhat)
+    corr = np.einsum("kc,chw->khw", unit_norm(protos, axis=1), unit_norm(f, axis=0))
     corr = bilinear_resize(corr, out_h, out_w)
     best = corr.argmax(axis=0)  # first (lowest) index wins ties
     return np.asarray(classes, dtype=np.uint8)[best]

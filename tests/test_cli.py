@@ -7,7 +7,7 @@ import pytest
 
 from bana import fileio
 from bana.cli import main
-from bana.pipeline import PipelineConfig
+from bana.pipeline import PipelineConfig, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,35 @@ class TestLabels:
         assert (tmp_path / "fill.csv").read_text().startswith("box_index,class,filling_rate")
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_classes", None), ("dim", None), ("mode", None), ("scale", None),
+         ("num_classes", "3"), ("dim", True), ("mode", 1), ("scale", False)],
+    )
+    def test_bad_head_sidecar_is_input_error(self, corpus, trained_head, tmp_path, field, value):
+        head = tmp_path / "head.btf"
+        head.write_bytes(trained_head.read_bytes())
+        meta = json.loads(trained_head.with_suffix(".btf.json").read_text())
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        head.with_suffix(".btf.json").write_text(json.dumps(meta))
+        rc = main(
+            [
+                "labels",
+                "--features", str(corpus / "features" / "0000.btf"),
+                "--boxes", str(corpus / "boxes" / "0000.json"),
+                "--image", str(corpus / "images" / "0000.ppm"),
+                "--head", str(head),
+                "--out-crf", str(tmp_path / "crf.pgm"),
+                "--out-ret", str(tmp_path / "ret.pgm"),
+                "--out-fused", str(tmp_path / "fused.pgm"),
+            ]
+        )
+        assert rc == 1
+
+
 class TestCrf:
     def test_runs_on_unary_stack(self, corpus, tmp_path):
         rng = np.random.default_rng(0)
@@ -141,7 +170,55 @@ class TestRunAndEval:
         )
         assert rc == 0
         report = json.loads(report_path.read_text())
-        assert set(report) == {"miou", "per_class_iou", "pixel_acc"}
+        assert set(report) == {"miou", "per_class_iou", "pixel_accuracy"}
+
+    def test_subcommands_match_pipeline_stages(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(
+            corpus_dir=str(corpus), out_dir=str(out), head_epochs=25, head_lr_drop_epoch=None, seg_epochs=10
+        ))
+        rc = main(
+            [
+                "train-head",
+                "--features-dir", str(corpus / "features"),
+                "--boxes-dir", str(corpus / "boxes"),
+                "--out", str(tmp_path / "head.btf"),
+                "--grid-size", "4", "--epochs", "25", "--lr", "0.2", "--seed", "0",
+            ]
+        )
+        assert rc == 0
+        rc = main(
+            [
+                "nal-train",
+                "--features-dir", str(corpus / "features"),
+                "--labels-crf-dir", str(out / "labels" / "crf"),
+                "--labels-ret-dir", str(out / "labels" / "ret"),
+                "--out-head", str(tmp_path / "seg.btf"),
+                "--gamma", "7", "--lambda", "0.1", "--epochs", "10", "--lr", "0.05", "--seed", "0",
+                "--loss-csv", str(tmp_path / "loss.csv"),
+            ]
+        )
+        assert rc == 0
+        rc = main(
+            [
+                "eval",
+                "--pred-dir", str(out / "preds"),
+                "--ref-dir", str(corpus / "gt"),
+                "--classes", "3",
+                "--out", str(tmp_path / "eval.json"),
+            ]
+        )
+        assert rc == 0
+        for cli_file, stage_file in [
+            ("head.btf", "head/classifier.btf"),
+            ("head.btf.json", "head/classifier.btf.json"),
+            ("seg.btf", "seg/seg_head.btf"),
+            ("seg.btf.json", "seg/seg_head.btf.json"),
+            ("loss.csv", "seg/nal_loss.csv"),
+        ]:
+            assert (tmp_path / cli_file).read_bytes() == (out / stage_file).read_bytes(), cli_file
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert report == json.loads((out / "metrics.json").read_text())["segmentation"]
 
     def test_nal_train_subcommand(self, corpus, tmp_path):
         out = tmp_path / "out"

@@ -128,10 +128,23 @@ class TestBoxes:
         with pytest.raises(FileFormatError, match="missing required key 'height'"):
             read_boxes(path)
 
-    def test_non_integer_field(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"width": 4, "height": 4, "boxes": [{"class": 1, "xmin": 0.5, "ymin": 0, "xmax": 2, "ymax": 2}]}',
+             "boxes\\[0\\] fields must be integers"),
+            ('{"width": 4, "height": 4, "boxes": [{"class": true, "xmin": false, "ymin": 0, "xmax": 2, "ymax": 2}]}',
+             "boxes\\[0\\] fields must be integers"),
+            ('{"width": 4, "height": 4, "boxes": [{"class": 1, "xmin": 0, "ymin": 0, "xmax": 2, "ymax": true}]}',
+             "boxes\\[0\\] fields must be integers"),
+            ('{"width": true, "height": 4, "boxes": []}', "width/height must be integers"),
+        ],
+        ids=["float", "bool-class-xmin", "bool-ymax", "bool-width"],
+    )
+    def test_non_integer_field(self, tmp_path, text, message):
         path = tmp_path / "b.json"
-        path.write_text('{"width": 4, "height": 4, "boxes": [{"class": 1, "xmin": 0.5, "ymin": 0, "xmax": 2, "ymax": 2}]}')
-        with pytest.raises(FileFormatError, match="boxes\\[0\\] fields must be integers"):
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=message):
             read_boxes(path)
 
     def test_invalid_json(self, tmp_path):
