@@ -48,6 +48,13 @@ def _add_crf_flags(p: argparse.ArgumentParser, defaults: CrfParams) -> None:
     p.add_argument("--theta-gamma", type=float, default=defaults.theta_gamma)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _crf_params(args) -> CrfParams:
     return CrfParams(
         w1=args.w1,
@@ -80,7 +87,7 @@ def build_parser() -> _Parser:
     p.add_argument("--boxes-dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grid-size", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=60)
+    p.add_argument("--epochs", type=_positive_int, default=60)
     p.add_argument("--lr", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classes", type=int, default=None, help="number of object classes (default: inferred)")
@@ -115,7 +122,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-head", required=True)
     p.add_argument("--gamma", type=float, default=7.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=_positive_int, default=30)
     p.add_argument("--lr", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classes", type=int, default=None)

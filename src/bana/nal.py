@@ -77,9 +77,10 @@ def nal_loss_and_grad(
     """Noise-aware loss over one image and its gradient w.r.t. the head.
 
     ``confidence`` overrides the internally computed weights; the training
-    loop leaves it None (recomputed from the current weights each step),
-    while gradient probes pass a fixed map since the analytic gradient
-    treats the weights as constants.
+    loop passes the map it already computed for a confidence hook and None
+    otherwise (recomputed from the current weights each step), while
+    gradient probes pass a fixed map since the analytic gradient treats the
+    weights as constants.
     """
     f = as_feature_map(features)
     if fused.fused.shape != f.shape[1:]:
@@ -169,10 +170,11 @@ def train_seg_head(
         epoch_loss = 0.0
         for i in order:
             features, fused = samples[i]
+            sigma = None
             if confidence_hook is not None and fused.disagree.any():
                 sigma = confidence_map(correlation_maps(features, head), fused.y_crf, gamma)
                 confidence_hook(epoch, int(i), sigma)
-            report, grad = nal_loss_and_grad(features, head, fused, gamma=gamma, lam=lam)
+            report, grad = nal_loss_and_grad(features, head, fused, gamma=gamma, lam=lam, confidence=sigma)
             epoch_loss += report.total
             velocity = momentum * velocity - schedule[epoch] * (grad + weight_decay * head.weights)
             head = replace(head, weights=unit_norm(head.weights + velocity, axis=1))

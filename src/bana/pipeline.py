@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,6 +103,8 @@ class PipelineConfig:
             raise ValueError("lam must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.head_epochs < 1 or self.seg_epochs < 1:
+            raise ValueError("head_epochs and seg_epochs must be >= 1")
 
     def crf_params(self) -> CrfParams:
         return CrfParams(
@@ -317,8 +318,15 @@ def run_labels_stage(cfg: PipelineConfig) -> Path:
 
     jobs = [(cfg, image_id) for image_id in ids]
     if cfg.jobs > 1:
-        with multiprocessing.Pool(cfg.jobs) as pool:
-            results = pool.map(_labels_worker, jobs)
+        # Imported here: it costs more to import than this whole module.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(cfg.jobs) as pool:
+                results = list(pool.map(_labels_worker, jobs))
+        except BrokenProcessPool as e:
+            raise PipelineError(f"stage 'labels': a worker process died ({e})") from e
     else:
         results = [_labels_worker(j) for j in jobs]
 

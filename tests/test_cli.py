@@ -220,7 +220,7 @@ class TestRunAndEval:
         report = json.loads((tmp_path / "eval.json").read_text())
         assert report == json.loads((out / "metrics.json").read_text())["segmentation"]
 
-    def test_nal_train_subcommand(self, corpus, tmp_path):
+    def test_nal_train_subcommand(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = PipelineConfig(
             corpus_dir=str(corpus), out_dir=str(out), head_epochs=25,
@@ -248,6 +248,25 @@ class TestRunAndEval:
         assert dumps and dumps[0].endswith("epoch000.btf")
         sigma = fileio.read_tensor(tmp_path / "conf" / dumps[0], expected_rank=2)
         assert 0.0 <= sigma.min() and sigma.max() <= 1.0
+
+        # Zero epochs is a bad flag for both training subcommands, not a crash.
+        nal_args = [
+            "nal-train",
+            "--features-dir", str(corpus / "features"),
+            "--labels-crf-dir", str(out / "labels" / "crf"),
+            "--labels-ret-dir", str(out / "labels" / "ret"),
+            "--out-head", str(tmp_path / "seg0.btf"),
+        ]
+        head_args = [
+            "train-head",
+            "--features-dir", str(corpus / "features"),
+            "--boxes-dir", str(corpus / "boxes"),
+            "--out", str(tmp_path / "head0.btf"),
+        ]
+        capsys.readouterr()
+        for args in (nal_args, head_args):
+            assert main(args + ["--epochs", "0"]) == 1
+            assert "--epochs" in capsys.readouterr().err
 
     def test_bad_config_is_input_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

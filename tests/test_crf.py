@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bana.core import BBox, BoxSet
 from bana.crf import CrfParams, build_unary, mean_field, mean_field_naive
@@ -135,29 +137,11 @@ class TestMeanField:
             assert q.min() >= 0.0
             np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-5)
 
-    def test_windowed_matches_naive_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            h, w = int(rng.integers(4, 17)), int(rng.integers(4, 17))
-            unary, image = _random_instance(rng, h, w, int(rng.integers(2, 5)))
-            # window radius covers the whole image -> sums must coincide
-            params = CrfParams(
-                w1=float(rng.uniform(0.5, 3.0)),
-                w2=float(rng.uniform(0.5, 3.0)),
-                theta_alpha=float(rng.uniform(6.0, 20.0)),
-                theta_beta=float(rng.uniform(3.0, 30.0)),
-                theta_gamma=float(rng.uniform(1.0, 6.0)),
-                iterations=4,
-            )
-            _, q_fast = mean_field(unary, image, params, method="windowed")
-            _, q_ref = mean_field_naive(unary, image, params)
-            assert np.abs(q_fast - q_ref).max() <= 1e-4
-
     def test_truncated_window_still_produces_valid_marginals(self):
         rng = np.random.default_rng(5)
         unary, image = _random_instance(rng, 20, 20, 3)
         params = CrfParams(theta_alpha=2.0, theta_gamma=1.0, iterations=3)
-        labels, q = mean_field(unary, image, params, method="windowed")
+        labels, q = mean_field(unary, image, params, method="lattice")
         np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-5)
         assert labels.shape == (20, 20)
 
@@ -188,6 +172,9 @@ class TestMeanField:
             mean_field(np.zeros((2, 4, 4)), _flat_image(5, 4), params)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             mean_field(np.full((2, 4, 4), 1.5), _flat_image(4, 4), params)
+        for retired in ("windowed", "auto"):
+            with pytest.raises(ValueError, match="unknown method"):
+                mean_field(np.full((2, 4, 4), 0.5), _flat_image(4, 4), params, method=retired)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
@@ -196,3 +183,50 @@ class TestMeanField:
             CrfParams(iterations=-1)
         with pytest.raises(ValueError):
             CrfParams(unary_floor=0.0)
+
+
+_BANDWIDTH = st.floats(min_value=1e-3, max_value=1e4)  # far below to far above the image size
+
+
+@st.composite
+def _crf_instances(draw):
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    labels = draw(st.integers(2, 4))
+    unary = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=labels * h * w, max_size=labels * h * w)))
+    colours = 1 if draw(st.booleans()) else h * w  # one colour: all pixels share their colour features
+    image = np.array(draw(st.lists(st.integers(0, 255), min_size=3 * colours, max_size=3 * colours)), np.uint8)
+    image = np.broadcast_to(image.reshape(-1, 3), (h * w, 3))
+    params = CrfParams(
+        w1=draw(st.floats(0.0, 20.0)),
+        w2=draw(st.floats(0.0, 20.0)),
+        theta_alpha=draw(_BANDWIDTH),
+        theta_beta=draw(_BANDWIDTH),
+        theta_gamma=draw(_BANDWIDTH),
+        iterations=draw(st.integers(0, 5)),
+    )
+    return unary.reshape(labels, h, w), image.reshape(h, w, 3), params
+
+
+def _instance(h, w, colour=None, theta=3.0):
+    unary, image = _random_instance(np.random.default_rng(0), h, w, 3)
+    if colour is not None:
+        image[:] = colour
+    return unary, image, CrfParams(theta_alpha=theta, theta_beta=theta, theta_gamma=theta, iterations=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_crf_instances())
+@example(_instance(1, 1))
+@example(_instance(1, 9))
+@example(_instance(7, 1))
+@example(_instance(6, 8, colour=200))
+@example(_instance(6, 8, theta=1e-3))
+@example(_instance(6, 8, theta=1e4))
+@example(_instance(6, 8, colour=17, theta=1e-3))
+def test_lattice_marginals_are_distributions(instance):
+    unary, image, params = instance
+    labels, q = mean_field(unary, image, params, method="lattice")
+    assert np.all(np.isfinite(q)) and q.min() >= 0.0
+    np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-5)
+    assert labels.shape == unary.shape[1:]
+    assert labels.max() < unary.shape[0]

@@ -16,7 +16,7 @@ from bana.nal import (
     train_seg_head,
 )
 from bana.pseudolabel import fuse_labels
-from bana import metrics
+from bana import metrics, nal
 
 
 def _head(weights, scale=7.5):
@@ -252,6 +252,17 @@ class TestTrainSegHead:
         a, _ = train_seg_head(noisy, num_classes, epochs=3, lr=0.05, seed=5)
         b, _ = train_seg_head(noisy, num_classes, epochs=3, lr=0.05, seed=5)
         assert a.weights.tobytes() == b.weights.tobytes()
+
+    def test_confidence_hook_reuses_the_step_confidence(self, monkeypatch):
+        noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=4)
+        plain, plain_losses = train_seg_head(noisy, num_classes, epochs=3, lr=0.05, seed=0)
+        calls, dumps = [], []
+        real = nal.correlation_maps
+        monkeypatch.setattr(nal, "correlation_maps", lambda *a: calls.append(1) or real(*a))
+        head, losses = train_seg_head(noisy, num_classes, epochs=3, lr=0.05, seed=0,
+                                      confidence_hook=lambda epoch, i, sigma: dumps.append((epoch, i)))
+        assert len(dumps) == 12 and len(calls) == 12  # one per image step, not two
+        assert head.weights.tobytes() == plain.weights.tobytes() and losses == plain_losses
 
     def test_loss_decreases_on_separable_data(self):
         noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=4)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +71,10 @@ class TestConfig:
             PipelineConfig(corpus_dir="c", out_dir="o", attn_threshold=1.5)
         with pytest.raises(ValueError):
             PipelineConfig(corpus_dir="c", out_dir="o", jobs=0)
+        with pytest.raises(ValueError, match="epochs"):
+            PipelineConfig(corpus_dir="c", out_dir="o", head_epochs=0)
+        with pytest.raises(ValueError, match="epochs"):
+            PipelineConfig(corpus_dir="c", out_dir="o", seg_epochs=0)
 
 
 class TestStages:
@@ -149,6 +157,35 @@ class TestDeterminism:
         run_pipeline(_cfg(mini_corpus, out_b, stages=["train-head", "labels"], jobs=2))
         for rel in ("labels/crf/0003.pgm", "labels/fused/0002.pgm", "filling_rate.csv"):
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+
+    def test_dead_worker_raises_instead_of_hanging(self, mini_corpus, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(_cfg(mini_corpus, out, stages=["train-head"]))
+        cfg = _cfg(mini_corpus, out, stages=["labels"], jobs=2)
+        # The stage runs in a child interpreter, so a hang fails the test on
+        # the timeout instead of stalling the suite.
+        script = (
+            "import os, sys\n"
+            "from bana import pipeline\n"
+            "def die(job):\n"
+            "    os._exit(3)\n"
+            "pipeline._labels_worker = die\n"
+            "cfg = pipeline.PipelineConfig.from_json_file(sys.argv[1])\n"
+            "try:\n"
+            "    pipeline.run_labels_stage(cfg)\n"
+            "except pipeline.PipelineError as e:\n"
+            "    print(e)\n"
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        t0 = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", script, str(cfg_path)], capture_output=True, text=True,
+                              timeout=30, env=env)
+        assert done.returncode == 0, done.stderr
+        assert "stage 'labels'" in done.stdout and "worker process died" in done.stdout
+        assert time.perf_counter() - t0 < 20.0
 
 
 class TestSampleCollection:
