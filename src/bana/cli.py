@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 input/usage error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -151,10 +152,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = pipeline.PipelineConfig.from_json_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
+    overrides = {"seed": args.seed, "jobs": args.jobs}
+    # replace() builds a new config, so the overrides are validated too.
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     artifacts = pipeline.run_pipeline(cfg)
     for stage, path in artifacts.items():
         print(f"{stage}: {path}")

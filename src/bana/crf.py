@@ -11,15 +11,19 @@ Potts model whose pairwise kernel is the usual pair of Gaussians:
 Two message-passing engines share the same update step; ``mean_field``
 selects one with ``method``:
 
-* ``lattice`` -- the default. Gaussian filtering on the permutohedral lattice
-                 (Adams, Baek & Davis 2010; Kraehenbuehl & Koltun 2011): one
-                 5-D lattice for the bilateral term and one 2-D lattice for
-                 the spatial term, built once per image, so an iteration
-                 costs O(HW) whatever the bandwidths. Each lattice's output
-                 is rescaled to the exact Gaussian sums on a fixed-size pixel
-                 sample and its self term removed. It is an approximation:
-                 the tests bound its label agreement with and marginal
-                 distance from ``dense`` on synthetic-corpus images.
+* ``lattice`` -- the default: the bilateral lattice plus the exact
+                 separable spatial term. The bilateral term is a Gaussian
+                 filter on a 5-D permutohedral lattice (Adams, Baek & Davis
+                 2010; Kraehenbuehl & Koltun 2011) over position and colour,
+                 built once per image, so an iteration costs O(HW) whatever
+                 the bandwidths. Its output is rescaled to the exact Gaussian
+                 sums on a fixed-size pixel sample and its self term removed.
+                 It is an approximation: the tests bound its label agreement
+                 with and marginal distance from ``dense`` on
+                 synthetic-corpus images. The spatial term is exact: the
+                 product of two 1-D Gaussian matrices, G_y @ Q @ G_x, less
+                 the self term, taken over the matrices' bands (weights
+                 below e^-50 are left out).
 * ``dense``   -- exact O((HW)^2) pairwise sums over the full kernel matrix;
                  limited by the kernel's memory. ``mean_field_naive`` runs it
                  on small images as the equivalence oracle.
@@ -40,13 +44,17 @@ from .core import BoxSet, bilinear_resize, box_interior_mask
 # Largest kernel matrix (entries) the dense engines will allocate.
 _DENSE_LIMIT = 25_000_000
 _NAIVE_MAX_PIXELS = 64 * 64
-# Pixels whose exact Gaussian sums calibrate each lattice: a fixed count, so
-# the calibration costs O(HW) at any image size.
+# Pixels whose exact Gaussian sums calibrate the bilateral lattice: a fixed
+# count, so the calibration costs O(HW) at any image size.
 _CALIBRATION_PIXELS = 64
 # The lattice filter reaches about 5 bandwidths (measured), so a feature step
 # of one intensity level or pixel is capped at 8 bandwidths: pixels that differ
 # there stay out of each other's reach, and the integer lattice keys stay small.
 _MAX_FEATURE_STEP = 8.0
+# Rows per block of the spatial term's banded matrix products. On one core,
+# with theta_gamma = 3 at 256^2 and 512^2, blocks of 32 or 64 rows took a
+# tenth of the dense product's time and blocks of 128 four times as long as 64.
+_SPATIAL_BLOCK = 64
 
 
 @dataclass
@@ -144,11 +152,78 @@ def _kernel_matrix(image: np.ndarray, params: CrfParams) -> np.ndarray:
     block = max(1, (4 << 20) // max(n, 1))
     for s in range(0, n, block):
         e = min(n, s + block)
-        dpos = ((pos[s:e, None, :] - pos[None, :, :]) ** 2).sum(axis=-1)
-        dcol = ((col[s:e, None, :] - col[None, :, :]) ** 2).sum(axis=-1)
-        k[s:e] = params.w1 * np.exp(-dpos * inv_a - dcol * inv_b) + params.w2 * np.exp(-dpos * inv_g)
+        # Per-coordinate outer differences, summed in coordinate order. A zero
+        # weight's term is skipped: it would add exact zeros.
+        dpos = (pos[s:e, None, 0] - pos[None, :, 0]) ** 2 + (pos[s:e, None, 1] - pos[None, :, 1]) ** 2
+        k[s:e] = params.w2 * np.exp(-dpos * inv_g)
+        if params.w1 > 0.0:
+            dcol = (col[s:e, None, 0] - col[None, :, 0]) ** 2
+            dcol += (col[s:e, None, 1] - col[None, :, 1]) ** 2
+            dcol += (col[s:e, None, 2] - col[None, :, 2]) ** 2
+            k[s:e] += params.w1 * np.exp(-dpos * inv_a - dcol * inv_b)
     np.fill_diagonal(k, 0.0)
     return k
+
+
+def _enclosing_simplices(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of n points' enclosing simplex on the permutohedral lattice of
+    (n, d) features, as (n, d+1) arrays: its remainder-0 vertex, the rank of
+    each coordinate and the barycentric weights of its vertices by remainder."""
+    n, d = features.shape
+    # Elevate onto the plane x . 1 = 0 of R^(d+1), scaled so that the blur
+    # has about unit standard deviation in feature units.
+    scaled = features * (math.sqrt(2.0 / 3.0) * (d + 1) / np.sqrt(np.arange(1, d + 1) * np.arange(2, d + 2)))
+    elevated = np.zeros((n, d + 1))
+    elevated[:, :d] = np.cumsum(scaled[:, ::-1], axis=1)[:, ::-1]
+    elevated[:, 1:] -= np.arange(1, d + 1) * scaled
+    # The nearest remainder-0 vertex, then the simplex holding the point:
+    # rank orders the coordinates' residuals, shifted back onto the plane.
+    rem0 = np.rint(elevated / (d + 1)) * (d + 1)
+    residual = elevated - rem0
+    rank = np.argsort(np.argsort(-residual, axis=1, kind="stable"), axis=1, kind="stable")
+    rank += np.rint(rem0.sum(axis=1) / (d + 1)).astype(np.int64)[:, None]
+    shift = (rank < 0).astype(np.int64) - (rank > d)
+    rank += shift * (d + 1)
+    rem0 = rem0.astype(np.int64) + shift * (d + 1)
+    # Barycentric weights of the simplex vertices, by remainder.
+    t = (elevated - rem0) / (d + 1)
+    plus, minus = np.zeros((n, d + 2)), np.zeros((n, d + 2))
+    np.put_along_axis(plus, d - rank, t, axis=1)
+    np.put_along_axis(minus, d - rank + 1, t, axis=1)
+    bary = plus - minus
+    bary[:, 0] += 1.0 + bary[:, d + 1]
+    return rem0, rank, bary[:, : d + 1]
+
+
+def _vertex_codes(rem0: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d+1) int64 codes of each simplex's vertices, by remainder, and
+    the code strides of the first d coordinates."""
+    n, d = rank.shape[0], rank.shape[1] - 1
+    # Vertex r of a simplex has every coordinate = r (mod d+1): its code packs
+    # r and the quotients of its first d coordinates mixed-radix into one
+    # int64, with room for two blur steps beyond the points. Vertex r takes
+    # the remainder-0 vertex's quotients, less one on the coordinates ranked
+    # above d - r, so its code is vertex 0's plus r, less the strides of the r
+    # top-ranked coordinates (coordinate d has no stride).
+    quot = rem0[:, :d] // (d + 1)
+    low = (quot - (rank[:, :d] > 0)).min(axis=0) - 2
+    radix = quot.max(axis=0) + 2 - low + 1
+    if (d + 1) * float(np.prod(radix.astype(np.float64))) >= 2.0**62:
+        raise ValueError("lattice keys do not fit 64 bits; the features span too many bandwidths")
+    stride = (d + 1) * np.cumprod(np.concatenate(([1], radix[:-1])))
+    stride_by_rank = np.zeros((n, d + 1), dtype=np.int64)
+    np.put_along_axis(stride_by_rank, rank[:, :d], stride, axis=1)
+    codes = np.arange(d + 1) + ((quot - low) @ stride)[:, None]
+    codes[:, 1:] -= np.cumsum(stride_by_rank[:, :0:-1], axis=1)
+    return codes, stride
+
+
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of an integer array and the count of each. On a
+    lattice's few thousand codes a sort beats ``np.unique``'s hash table."""
+    s = np.sort(a, axis=None)
+    starts = np.flatnonzero(np.append(True, s[1:] != s[:-1]))
+    return s[starts], np.diff(starts, append=s.size)
 
 
 class _Lattice:
@@ -165,70 +240,47 @@ class _Lattice:
     """
 
     def __init__(self, features: np.ndarray) -> None:
-        n, d = features.shape
-        # Elevate onto the plane x . 1 = 0 of R^(d+1), scaled so that the blur
-        # has about unit standard deviation in feature units.
-        scaled = features * (math.sqrt(2.0 / 3.0) * (d + 1) / np.sqrt(np.arange(1, d + 1) * np.arange(2, d + 2)))
-        elevated = np.zeros((n, d + 1))
-        elevated[:, :d] = np.cumsum(scaled[:, ::-1], axis=1)[:, ::-1]
-        elevated[:, 1:] -= np.arange(1, d + 1) * scaled
-        # The nearest remainder-0 vertex, then the simplex holding the point:
-        # rank orders the coordinates' residuals, shifted back onto the plane.
-        rem0 = np.rint(elevated / (d + 1)) * (d + 1)
-        residual = elevated - rem0
-        rank = np.argsort(np.argsort(-residual, axis=1, kind="stable"), axis=1, kind="stable")
-        rank += np.rint(rem0.sum(axis=1) / (d + 1)).astype(np.int64)[:, None]
-        shift = (rank < 0).astype(np.int64) - (rank > d)
-        rank += shift * (d + 1)
-        rem0 = rem0.astype(np.int64) + shift * (d + 1)
-        # Barycentric weights of the simplex vertices, by remainder.
-        t = (elevated - rem0) / (d + 1)
-        plus, minus = np.zeros((n, d + 2)), np.zeros((n, d + 2))
-        np.put_along_axis(plus, d - rank, t, axis=1)
-        np.put_along_axis(minus, d - rank + 1, t, axis=1)
-        bary = plus - minus
-        bary[:, 0] += 1.0 + bary[:, d + 1]
-        self.weights = bary[:, : d + 1]
-
-        # Vertex r of a simplex has every coordinate = r (mod d+1): store r and
-        # the quotients of its first d coordinates, packed mixed-radix into one
-        # int64 code with room for two blur steps beyond the points.
-        r = np.arange(d + 1)[None, :, None]
-        quot = (rem0[:, None, :d] // (d + 1)) - (rank[:, None, :d] > d - r)  # (n, d+1, d)
-        low = quot.min(axis=(0, 1)) - 2
-        radix = quot.max(axis=(0, 1)) + 2 - low + 1
-        if (d + 1) * float(np.prod(radix.astype(np.float64))) >= 2.0**62:
-            raise ValueError("lattice keys do not fit 64 bits; the features span too many bandwidths")
-        stride = (d + 1) * np.cumprod(np.concatenate(([1], radix[:-1])))
-        codes = np.arange(d + 1) + ((quot - low) * stride).sum(axis=2)
+        # Temporaries are freed as soon as they are used up (the helpers'
+        # locals on return, the large arrays here by ``del``), because the
+        # set-up's peak memory shows in the labels stage's peak RSS.
+        d = features.shape[1]
+        rem0, rank, self.weights = _enclosing_simplices(features)
+        codes, stride = _vertex_codes(rem0, rank)
+        del rem0, rank
         # A blur step along direction j adds d+1 to coordinate j (j < d) and
         # subtracts 1 from all: r drops by one, or wraps from 0 to d while
         # every quotient drops by one.
-        step = np.append(stride, 0) - 1
+        step = (np.append(stride, 0) - 1)[:, None]
         wrap = d + 1 - stride.sum()
 
-        def ahead(c, j):
-            return c + step[j] + np.where(c % (d + 1) == 0, wrap, 0)
+        def ahead(c):  # (d+1, c.size): the code one step ahead in each direction
+            return c + step + np.where(c % (d + 1) == 0, wrap, 0)
 
-        def behind(c, j):
-            return c - step[j] - np.where(c % (d + 1) == d, wrap, 0)
+        def behind(c):
+            return c - step - np.where(c % (d + 1) == d, wrap, 0)
 
-        occupied = np.unique(codes)
-        near, hits = np.unique(
-            np.concatenate([f(occupied, j) for j in range(d + 1) for f in (ahead, behind)]), return_counts=True
-        )
-        vertices = np.union1d(occupied, near[hits >= 2])
+        # One argsort of the points' codes gives the occupied vertices and,
+        # once the vertex set is known, every point's vertex indices.
+        order = np.argsort(codes, axis=None)
+        ranked = codes.ravel()[order]
+        first = np.append(True, ranked[1:] != ranked[:-1])
+        occupied = ranked[first]
+        near, hits = _distinct(np.concatenate([ahead(occupied), behind(occupied)]))
+        vertices, _ = _distinct(np.concatenate([occupied, near[hits >= 2]]))
         self.size = m = vertices.size
-        self.index = np.searchsorted(vertices, codes)  # (n, d+1)
-        self.neighbours = []
+        self.index = np.empty(codes.shape, dtype=np.int64)  # (n, d+1)
+        self.index.ravel()[order] = np.searchsorted(vertices, occupied)[np.cumsum(first) - 1]
+        del codes, order, ranked, first, occupied, near, hits
+        target = ahead(vertices)
+        i = np.searchsorted(vertices, target)
+        np.minimum(i, m - 1, out=i)
+        found = vertices[i] == target
+        del target
+        prev = np.full((d + 1, m), m)  # m: an always-zero slot
         for j in range(d + 1):
-            target = ahead(vertices, j)
-            i = np.minimum(np.searchsorted(vertices, target), m - 1)
-            found = vertices[i] == target
-            next_ = np.where(found, i, m)  # m: an always-zero slot
-            prev = np.full(m, m)
-            prev[i[found]] = np.flatnonzero(found)
-            self.neighbours.append((next_, prev))
+            prev[j, i[j, found[j]]] = np.flatnonzero(found[j])
+        i[~found] = m
+        self.neighbours = list(zip(i, prev))
 
     def blur(self, values: np.ndarray) -> np.ndarray:
         """(n, L) values -> (n, L) filtered values."""
@@ -258,31 +310,53 @@ def _lattice_term(features: np.ndarray) -> tuple[_Lattice, float]:
     return lattice, float(np.median(approx / exact))
 
 
+def _gaussian_band(size: int, theta: float) -> list[tuple[slice, slice, np.ndarray]]:
+    """The 1-D Gaussian matrix exp(-(a - b)^2 / (2 theta^2)) over ``size``
+    positions as (rows, columns, block) pieces that cover its band. Weights
+    more than 10 theta off the diagonal, below e^-50, are left out."""
+    a = np.arange(size, dtype=np.float64)
+    reach = math.ceil(min(10.0 * theta, size))
+    pieces = []
+    for s in range(0, size, _SPATIAL_BLOCK):
+        rows = slice(s, min(size, s + _SPATIAL_BLOCK))
+        cols = slice(max(0, s - reach), min(size, s + _SPATIAL_BLOCK + reach))
+        pieces.append((rows, cols, np.exp(-np.subtract.outer(a[rows], a[cols]) ** 2 / (2.0 * theta**2))))
+    return pieces
+
+
 def _lattice_messages(image: np.ndarray, params: CrfParams):
     h, w, _ = image.shape
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    pos = np.stack([ys.ravel(), xs.ravel()], axis=1)
-    col = image.reshape(h * w, 3).astype(np.float64)
-
-    def scaled(raw, theta):
-        return raw * min(1.0 / theta, _MAX_FEATURE_STEP)
-
-    terms = []
-    for weight, features in (
-        (params.w1, np.hstack([scaled(pos, params.theta_alpha), scaled(col, params.theta_beta)])),
-        (params.w2, scaled(pos, params.theta_gamma)),
-    ):
-        if weight > 0.0:
-            lattice, c = _lattice_term(features)
-            terms.append((weight, weight / c, lattice))
+    bilateral = None
+    if params.w1 > 0.0:
+        ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+        pos = np.stack([ys.ravel(), xs.ravel()], axis=1)
+        col = image.reshape(h * w, 3).astype(np.float64)
+        features = np.hstack([
+            pos * min(1.0 / params.theta_alpha, _MAX_FEATURE_STEP),
+            col * min(1.0 / params.theta_beta, _MAX_FEATURE_STEP),
+        ])
+        lattice, c = _lattice_term(features)
+        bilateral = params.w1 / c, lattice
+    # The spatial Gaussian factors into one over rows and one over columns.
+    g_y, g_x = (_gaussian_band(size, params.theta_gamma) for size in (h, w))
 
     def messages(q):
-        # sum_{j != i} k(i, j) q_j: the rescaled lattice sums minus the self term.
-        flat = q.reshape(q.shape[0], -1).T
-        msg = np.zeros_like(flat)
-        for weight, gain, lattice in terms:
-            msg += gain * lattice.blur(flat) - weight * flat
-        return msg.T.reshape(q.shape)
+        # sum_{j != i} k(i, j) q_j: each term's sums minus its self term.
+        msg = np.zeros_like(q)
+        if bilateral is not None:
+            gain, lattice = bilateral
+            flat = q.reshape(q.shape[0], -1).T
+            msg += (gain * lattice.blur(flat) - params.w1 * flat).T.reshape(q.shape)
+        if params.w2 > 0.0:
+            # G_y @ q @ G_x, block by block; both matrices are symmetric.
+            by_rows = np.empty_like(q)
+            for rows, cols, g in g_y:
+                by_rows[:, rows] = g @ q[:, cols]
+            spatial = np.empty_like(q)
+            for rows, cols, g in g_x:
+                spatial[:, :, rows] = by_rows[:, :, cols] @ g.T
+            msg += params.w2 * (spatial - q)
+        return msg
 
     return messages
 

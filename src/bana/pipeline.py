@@ -40,6 +40,11 @@ from .pseudolabel import FusedLabels, extract_prototypes, filling_rate, fuse_lab
 STAGES = ("train-head", "labels", "nal-train", "eval")
 
 
+# The JSON types each config field's annotation accepts, compared by type() so
+# that true/false (bool, a subclass of int) are not numbers. An int is a float.
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,), "list[str]": (list,)}
+
+
 class PipelineError(ValueError):
     """A stage cannot run: missing inputs or broken stage order."""
 
@@ -122,10 +127,21 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ValueError("a config must be a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = [k for k in ("corpus_dir", "out_dir") if k not in d]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
+        for key, value in d.items():
+            kind, _, optional = types[key].partition(" | ")  # "int | None": null allowed
+            if value is None and optional:
+                continue
+            if type(value) not in _JSON_TYPES[kind] or (kind == "list[str]" and any(type(v) is not str for v in value)):
+                raise ValueError(f"config key '{key}' must be {kind}{' or null' if optional else ''}, got {value!r}")
         return cls(**d)
 
     @classmethod

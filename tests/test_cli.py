@@ -157,6 +157,12 @@ class TestRunAndEval:
         cfg_path.write_text(cfg.to_json())
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (out / "metrics.json").exists()
+        # overrides and config values go through the same checks: input errors
+        assert main(["run", "--config", str(cfg_path), "--jobs", "-5"]) == 1
+        bad_path = tmp_path / "bad.json"
+        for bad in ({"jobs": "2"}, {"crf_theta_alpha": "5"}, {"jobs": True}):
+            bad_path.write_text(json.dumps({**json.loads(cfg.to_json()), **bad}))
+            assert main(["run", "--config", str(bad_path)]) == 1
 
         report_path = tmp_path / "eval.json"
         rc = main(

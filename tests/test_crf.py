@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bana import crf
 from bana.core import BBox, BoxSet
 from bana.crf import CrfParams, build_unary, mean_field, mean_field_naive
 
@@ -185,6 +186,22 @@ class TestMeanField:
             CrfParams(unary_floor=0.0)
 
 
+def test_lattice_vertex_codes_match_their_definition():
+    # Vertex r of each simplex takes the remainder-0 vertex's quotients, less
+    # one on the coordinates ranked above d - r, packed mixed-radix with r.
+    features = np.random.default_rng(7).normal(scale=3.0, size=(500, 5))
+    rem0, rank, _ = crf._enclosing_simplices(features)
+    codes, stride = crf._vertex_codes(rem0, rank)
+    d = features.shape[1]
+    r = np.arange(d + 1)[None, :, None]
+    quot = rem0[:, None, :d] // (d + 1) - (rank[:, None, :d] > d - r)  # (n, d+1, d)
+    expected = np.arange(d + 1) + ((quot - quot.min(axis=(0, 1)) + 2) * stride).sum(axis=2)
+    assert np.array_equal(codes, expected)
+    values, counts = crf._distinct(codes)
+    reference = np.unique(codes, return_counts=True)
+    assert np.array_equal(values, reference[0]) and np.array_equal(counts, reference[1])
+
+
 _BANDWIDTH = st.floats(min_value=1e-3, max_value=1e4)  # far below to far above the image size
 
 
@@ -207,11 +224,11 @@ def _crf_instances(draw):
     return unary.reshape(labels, h, w), image.reshape(h, w, 3), params
 
 
-def _instance(h, w, colour=None, theta=3.0):
+def _instance(h, w, colour=None, theta=3.0, w1=4.0, w2=3.0):
     unary, image = _random_instance(np.random.default_rng(0), h, w, 3)
     if colour is not None:
         image[:] = colour
-    return unary, image, CrfParams(theta_alpha=theta, theta_beta=theta, theta_gamma=theta, iterations=4)
+    return unary, image, CrfParams(w1=w1, w2=w2, theta_alpha=theta, theta_beta=theta, theta_gamma=theta, iterations=4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,6 +240,8 @@ def _instance(h, w, colour=None, theta=3.0):
 @example(_instance(6, 8, theta=1e-3))
 @example(_instance(6, 8, theta=1e4))
 @example(_instance(6, 8, colour=17, theta=1e-3))
+@example(_instance(6, 8, w1=0.0))
+@example(_instance(6, 8, w2=0.0))
 def test_lattice_marginals_are_distributions(instance):
     unary, image, params = instance
     labels, q = mean_field(unary, image, params, method="lattice")

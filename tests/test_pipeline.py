@@ -58,6 +58,37 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             PipelineConfig.from_dict({"corpus_dir": "c", "out_dir": "o", "typo_key": 1})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("jobs", "2"),
+            ("jobs", True),
+            ("jobs", 2.0),
+            ("crf_theta_alpha", "5"),
+            ("crf_theta_alpha", False),
+            ("seed", None),
+            ("crf_w1", None),
+            ("head_mode", 1),
+            ("dump_attention", 1),
+            ("stages", "labels"),
+            ("stages", ["labels", 2]),
+        ],
+    )
+    def test_wrong_type_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            PipelineConfig.from_dict({"corpus_dir": "c", "out_dir": "o", key: value})
+
+    def test_int_as_float_and_null_for_optional_ints_accepted(self):
+        cfg = PipelineConfig.from_dict(
+            {"corpus_dir": "c", "out_dir": "o", "crf_theta_alpha": 5, "num_classes": None, "head_lr_drop_epoch": None}
+        )
+        assert cfg.crf_theta_alpha == 5 and cfg.num_classes is None and cfg.head_lr_drop_epoch is None
+
+    @pytest.mark.parametrize("d", [[], {"corpus_dir": "c"}])
+    def test_malformed_config_rejected(self, d):
+        with pytest.raises(ValueError, match="config"):
+            PipelineConfig.from_dict(d)
+
     def test_stage_names_validated_and_ordered(self):
         cfg = PipelineConfig(corpus_dir="c", out_dir="o", stages=["eval", "labels"])
         assert cfg.stages == ["labels", "eval"]
