@@ -19,7 +19,7 @@ dense pseudo labels and trains classifier heads on them:
 from .core import IGNORE, BBox, BoxSet, build_background_mask, resize_boxes
 from .bgattn import QuerySet, attention_map, bap_pool, extract_queries
 from .clshead import ClassifierHead, cam, ce_loss_and_grad, init_head, logits, sgd_train
-from .crf import CrfParams, build_unary, mean_field, mean_field_naive
+from .crf import CrfParams, build_unary, mean_field
 from .pseudolabel import FusedLabels, extract_prototypes, filling_rate, fuse_labels, retrieval_labels
 from .nal import confidence_map, correlation_maps, nal_loss_and_grad, train_seg_head
 from .metrics import confusion, miou, pixel_accuracy
@@ -47,7 +47,6 @@ __all__ = [
     "CrfParams",
     "build_unary",
     "mean_field",
-    "mean_field_naive",
     "FusedLabels",
     "extract_prototypes",
     "filling_rate",

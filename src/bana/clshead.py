@@ -38,7 +38,7 @@ class ClassifierHead:
             raise ValueError("weights contain non-finite values")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:  # written so that NaN fails too
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     @property

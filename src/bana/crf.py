@@ -25,8 +25,8 @@ selects one with ``method``:
                  the self term, taken over the matrices' bands (weights
                  below e^-50 are left out).
 * ``dense``   -- exact O((HW)^2) pairwise sums over the full kernel matrix;
-                 limited by the kernel's memory. ``mean_field_naive`` runs it
-                 on small images as the equivalence oracle.
+                 limited by the kernel's memory. The tests use it on small
+                 images as the equivalence oracle.
 
 Inference is deterministic: fixed iteration count, no randomness.
 """
@@ -41,9 +41,8 @@ import numpy as np
 from .clshead import softmax
 from .core import BoxSet, bilinear_resize, box_interior_mask
 
-# Largest kernel matrix (entries) the dense engines will allocate.
+# Largest kernel matrix (entries) the dense engine will allocate.
 _DENSE_LIMIT = 25_000_000
-_NAIVE_MAX_PIXELS = 64 * 64
 # Pixels whose exact Gaussian sums calibrate the bilateral lattice: a fixed
 # count, so the calibration costs O(HW) at any image size.
 _CALIBRATION_PIXELS = 64
@@ -70,6 +69,9 @@ class CrfParams:
     unary_floor: float = 1e-5
 
     def __post_init__(self) -> None:
+        for name in ("w1", "w2", "theta_alpha", "theta_beta", "theta_gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("theta_alpha", "theta_beta", "theta_gamma"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
@@ -138,13 +140,17 @@ def _update(psi: np.ndarray, msg: np.ndarray) -> np.ndarray:
     return softmax(msg - psi, axis=0)
 
 
+def _pixel_features(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(HW, 2) pixel positions (row, column) and (HW, 3) colours, float64."""
+    h, w, _ = image.shape
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    return np.stack([ys.ravel(), xs.ravel()], axis=1), image.reshape(h * w, 3).astype(np.float64)
+
+
 def _kernel_matrix(image: np.ndarray, params: CrfParams) -> np.ndarray:
     """Full (HW, HW) pairwise kernel with a zeroed diagonal."""
-    h, w, _ = image.shape
-    n = h * w
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    pos = np.stack([ys.ravel(), xs.ravel()], axis=1)
-    col = image.reshape(n, 3).astype(np.float64)
+    pos, col = _pixel_features(image)
+    n = pos.shape[0]
     inv_a = 1.0 / (2.0 * params.theta_alpha**2)
     inv_b = 1.0 / (2.0 * params.theta_beta**2)
     inv_g = 1.0 / (2.0 * params.theta_gamma**2)
@@ -328,9 +334,7 @@ def _lattice_messages(image: np.ndarray, params: CrfParams):
     h, w, _ = image.shape
     bilateral = None
     if params.w1 > 0.0:
-        ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-        pos = np.stack([ys.ravel(), xs.ravel()], axis=1)
-        col = image.reshape(h * w, 3).astype(np.float64)
+        pos, col = _pixel_features(image)
         features = np.hstack([
             pos * min(1.0 / params.theta_alpha, _MAX_FEATURE_STEP),
             col * min(1.0 / params.theta_beta, _MAX_FEATURE_STEP),
@@ -372,20 +376,6 @@ def _run(psi: np.ndarray, messages, iterations: int, trace: list | None) -> np.n
     return q
 
 
-def _check_inputs(unary: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(unary, dtype=np.float64)
-    img = np.asarray(image)
-    if u.ndim != 3 or u.shape[0] < 2:
-        raise ValueError(f"unary must be (L+1, H, W) with L >= 1, got {u.shape}")
-    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
-        raise ValueError("image must be uint8 with shape (H, W, 3)")
-    if img.shape[:2] != u.shape[1:]:
-        raise ValueError(f"image {img.shape[:2]} and unary {u.shape[1:]} resolutions differ")
-    if u.min() < 0.0 or u.max() > 1.0:
-        raise ValueError("unary scores must lie in [0, 1]")
-    return u, img
-
-
 def mean_field(
     unary: np.ndarray,
     image: np.ndarray,
@@ -399,7 +389,16 @@ def mean_field(
     "dense" (full kernel matrix). Passing a list as ``trace`` collects the
     marginals after initialization and after every iteration.
     """
-    u, img = _check_inputs(unary, image)
+    u = np.asarray(unary, dtype=np.float64)
+    img = np.asarray(image)
+    if u.ndim != 3 or u.shape[0] < 2:
+        raise ValueError(f"unary must be (L+1, H, W) with L >= 1, got {u.shape}")
+    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
+        raise ValueError("image must be uint8 with shape (H, W, 3)")
+    if img.shape[:2] != u.shape[1:]:
+        raise ValueError(f"image {img.shape[:2]} and unary {u.shape[1:]} resolutions differ")
+    if u.min() < 0.0 or u.max() > 1.0:
+        raise ValueError("unary scores must lie in [0, 1]")
     nl, h, w = u.shape
     psi = _unary_potentials(u, params.unary_floor)
 
@@ -421,19 +420,3 @@ def mean_field(
     q = _run(psi, messages, params.iterations, trace)
     return q.argmax(axis=0).astype(np.uint8), q
 
-
-def mean_field_naive(
-    unary: np.ndarray,
-    image: np.ndarray,
-    params: CrfParams,
-    trace: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference engine with exact O((HW)^2) message sums.
-
-    Guards the image size (<= 64 x 64 pixels); intended as the equivalence
-    oracle for the lattice engine, not for production use.
-    """
-    u, img = _check_inputs(unary, image)
-    if u.shape[1] * u.shape[2] > _NAIVE_MAX_PIXELS:
-        raise ValueError(f"naive engine is limited to {_NAIVE_MAX_PIXELS} pixels, got {u.shape[1:]}")
-    return mean_field(unary, image, params, method="dense", trace=trace)

@@ -85,45 +85,30 @@ def nal_loss_and_grad(
     f = as_feature_map(features)
     if fused.fused.shape != f.shape[1:]:
         raise ValueError(f"fused labels {fused.fused.shape} do not match feature grid {f.shape[1:]}")
-    agree = fused.agree
-    disagree = fused.disagree
-    n_agree = int(agree.sum())
-    n_disagree = int(disagree.sum())
-    if n_agree == 0 and n_disagree == 0:
-        raise ValueError("empty image: no agreement and no disagreement pixels")
-
-    c, h, w = f.shape
-    x = f.reshape(c, -1).T  # (HW, C)
-
-    loss_agree = 0.0
-    grad = np.zeros_like(head.weights)
-    if n_agree > 0:
-        idx = np.flatnonzero(agree.ravel())
-        t = fused.fused.ravel()[idx].astype(np.intp)
-        la, ga = weighted_ce_loss_and_grad(head, x[idx], t, np.full(idx.size, 1.0 / n_agree))
-        loss_agree = la
-        grad += ga
-
-    loss_disagree = 0.0
-    if n_disagree > 0:
-        if confidence is None:
+    x = f.reshape(f.shape[0], -1).T  # (HW, C)
+    t = fused.y_crf.ravel().astype(np.intp)  # the fused label wherever the maps agree
+    # Agreement pixels weigh 1/n each; disagreement pixels sigma / sum(sigma),
+    # their loss and gradient scaled by lam.
+    losses, grad = [0.0, 0.0], np.zeros_like(head.weights)
+    for k, (region, factor) in enumerate(((fused.agree, 1.0), (fused.disagree, lam))):
+        idx = np.flatnonzero(region.ravel())
+        if idx.size == 0:
+            continue
+        if k == 1 and confidence is None:
             confidence = confidence_map(correlation_maps(f, head), fused.y_crf, gamma)
-        sigma = np.asarray(confidence, dtype=np.float64).ravel()
-        idx = np.flatnonzero(disagree.ravel())
-        total_sigma = sigma[idx].sum()
-        if total_sigma > 0.0:
-            t = fused.y_crf.ravel()[idx].astype(np.intp)
-            ld, gd = weighted_ce_loss_and_grad(head, x[idx], t, sigma[idx] / total_sigma)
-            loss_disagree = ld
-            grad += lam * gd
+        weights = np.ones(idx.size) if k == 0 else np.asarray(confidence, dtype=np.float64).ravel()[idx]
+        total = weights.sum()
+        if total > 0.0:
+            losses[k], g = weighted_ce_loss_and_grad(head, x[idx], t[idx], weights / total)
+            grad += factor * g
 
     report = SegLossReport(
-        loss_agree=loss_agree,
-        loss_disagree=loss_disagree,
-        total=loss_agree + lam * loss_disagree,
+        loss_agree=losses[0],
+        loss_disagree=losses[1],
+        total=losses[0] + lam * losses[1],
         lam=lam,
-        n_agree=n_agree,
-        n_disagree=n_disagree,
+        n_agree=int(fused.agree.sum()),
+        n_disagree=int(fused.disagree.sum()),
     )
     return report, grad
 
@@ -156,6 +141,10 @@ def train_seg_head(
     """
     if not samples:
         raise ValueError("need at least one training image")
+    if not gamma >= 1.0:  # written so that NaN fails too
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     dim = as_feature_map(samples[0][0]).shape[0]
     rng = np.random.default_rng(seed)
     w = unit_norm(rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)), axis=1)

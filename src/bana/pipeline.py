@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clshead, fileio, metrics, nal
-from .bgattn import attention_map, bap_pool, extract_queries
+from .bgattn import QuerySet, attention_map, bap_pool, extract_queries
 from .clshead import ClassifierHead, cam, init_head, sgd_train
 from .core import IGNORE, BoxSet, build_background_mask, nearest_resize, resize_boxes
 from .crf import CrfParams, build_unary, mean_field
@@ -98,6 +98,9 @@ class PipelineConfig:
         if bad:
             raise ValueError(f"unknown stages {bad}; valid stages are {list(STAGES)}")
         self.stages = [s for s in STAGES if s in self.stages]
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.grid_size_train < 1 or self.grid_size_label < 1:
             raise ValueError("grid sizes must be >= 1")
         if not (0.0 <= self.attn_threshold <= 1.0):
@@ -110,6 +113,7 @@ class PipelineConfig:
             raise ValueError("jobs must be >= 1")
         if self.head_epochs < 1 or self.seg_epochs < 1:
             raise ValueError("head_epochs and seg_epochs must be >= 1")
+        self.crf_params()  # CrfParams checks the crf_* ranges
 
     def crf_params(self) -> CrfParams:
         return CrfParams(
@@ -201,25 +205,24 @@ def _corpus_num_classes(cfg: PipelineConfig, corpus: Path, ids: list[str]) -> in
 # ---------------------------------------------------------------------------
 
 
+def _background_attention(features: np.ndarray, boxes: BoxSet, grid_size: int) -> tuple[BoxSet, QuerySet, np.ndarray]:
+    """The boxes resized to the feature grid, the background queries and the
+    attention map of one image, shared by stages 1 and 2."""
+    fh, fw = features.shape[1], features.shape[2]
+    resized = resize_boxes(boxes, fh, fw)
+    queries = extract_queries(features, build_background_mask(resized, fh, fw), grid_size)
+    return resized, queries, attention_map(features, queries, resized)
+
+
 def collect_training_samples(
     features: np.ndarray, boxes: BoxSet, grid_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-box pooled foreground features (box class) and background queries
-    (class 0) of one image, as an (n, C), (n,) pair."""
-    fh, fw = features.shape[1], features.shape[2]
-    resized = resize_boxes(boxes, fh, fw)
-    mask = build_background_mask(resized, fh, fw)
-    queries = extract_queries(features, mask, grid_size)
-    attn = attention_map(features, queries, resized)
-    vecs, targets = [], []
-    for b in resized.boxes:
-        vecs.append(bap_pool(features, attn, b).vector)
-        targets.append(b.class_id)
-    for q in queries.vectors:
-        vecs.append(q)
-        targets.append(0)
-    if not vecs:
-        return np.zeros((0, features.shape[0])), np.zeros((0,), dtype=np.intp)
+    (class 0) of one image, as an (n, C), (n,) pair. Never empty: every box
+    pools a vector, and an image without boxes gives background queries."""
+    resized, queries, attn = _background_attention(features, boxes, grid_size)
+    vecs = [bap_pool(features, attn, b).vector for b in resized.boxes] + list(queries.vectors)
+    targets = [b.class_id for b in resized.boxes] + [0] * queries.count
     return np.stack(vecs), np.asarray(targets, dtype=np.intp)
 
 
@@ -237,8 +240,6 @@ def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes:
         ys.append(y)
     x = np.concatenate(xs)
     y = np.concatenate(ys)
-    if x.shape[0] == 0:
-        raise PipelineError("stage 'train-head': the corpus yielded no training samples")
     head = init_head(num_classes, x.shape[1], mode=mode, scale=scale, seed=seed)
     return sgd_train(head, x, y, seed=seed, **sgd)
 
@@ -284,19 +285,13 @@ def generate_labels_for_image(
     Returns the fused label bundle, the attention map (feature resolution),
     and the per-box filling rates of the fused labels.
     """
-    fh, fw = features.shape[1], features.shape[2]
-    resized = resize_boxes(boxes, fh, fw)
-    mask = build_background_mask(resized, fh, fw)
-    queries = extract_queries(features, mask, grid_size)
-    attn = attention_map(features, queries, resized)
+    _, _, attn = _background_attention(features, boxes, grid_size)
     cams = {c: cam(features, head, c) for c in boxes.class_ids()}
     unary = build_unary(cams, attn, boxes, head.num_classes, tau)
     y_crf, _ = mean_field(unary, image, crf_params)
-    protos = extract_prototypes(features, nearest_resize(y_crf, fh, fw))
-    if protos:
-        y_ret = retrieval_labels(features, protos, y_crf.shape[0], y_crf.shape[1])
-    else:
-        y_ret = y_crf.copy()  # degenerate: no prototypes, fusion falls back
+    # y_crf is an argmax, never IGNORE, so there is at least one prototype.
+    protos = extract_prototypes(features, nearest_resize(y_crf, features.shape[1], features.shape[2]))
+    y_ret = retrieval_labels(features, protos, y_crf.shape[0], y_crf.shape[1])
     fused = fuse_labels(y_crf, y_ret)
     rates = filling_rate(fused.fused, boxes)
     return fused, attn, rates

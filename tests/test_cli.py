@@ -181,7 +181,8 @@ class TestRunAndEval:
     def test_subcommands_match_pipeline_stages(self, corpus, tmp_path):
         out = tmp_path / "out"
         run_pipeline(PipelineConfig(
-            corpus_dir=str(corpus), out_dir=str(out), head_epochs=25, head_lr_drop_epoch=None, seg_epochs=10
+            corpus_dir=str(corpus), out_dir=str(out), head_epochs=25, head_lr_drop_epoch=None, seg_epochs=10,
+            dump_attention=True,
         ))
         rc = main(
             [
@@ -193,6 +194,35 @@ class TestRunAndEval:
             ]
         )
         assert rc == 0
+        # bana labels with the config's CRF settings, image by image.
+        stage_rates = (out / "filling_rate.csv").read_text().splitlines()[1:]
+        ids = json.loads((corpus / "meta.json").read_text())["ids"]
+        for image_id in ids:
+            rc = main(
+                [
+                    "labels",
+                    "--features", str(corpus / "features" / f"{image_id}.btf"),
+                    "--boxes", str(corpus / "boxes" / f"{image_id}.json"),
+                    "--image", str(corpus / "images" / f"{image_id}.ppm"),
+                    "--head", str(tmp_path / "head.btf"),
+                    "--out-crf", str(tmp_path / "crf.pgm"),
+                    "--out-ret", str(tmp_path / "ret.pgm"),
+                    "--out-fused", str(tmp_path / "fused.pgm"),
+                    "--out-attention", str(tmp_path / "attn.btf"),
+                    "--filling-rate-csv", str(tmp_path / "fill.csv"),
+                    "--theta-alpha", "5", "--theta-beta", "12", "--iters", "5",
+                ]
+            )
+            assert rc == 0
+            for cli_file, stage_file in [
+                ("crf.pgm", f"labels/crf/{image_id}.pgm"),
+                ("ret.pgm", f"labels/ret/{image_id}.pgm"),
+                ("fused.pgm", f"labels/fused/{image_id}.pgm"),
+                ("attn.btf", f"attention/{image_id}.btf"),
+            ]:
+                assert (tmp_path / cli_file).read_bytes() == (out / stage_file).read_bytes(), (image_id, cli_file)
+            cli_rates = (tmp_path / "fill.csv").read_text().splitlines()[1:]
+            assert [f"{image_id},{row}" for row in cli_rates] == [r for r in stage_rates if r.startswith(image_id + ",")]
         rc = main(
             [
                 "nal-train",
@@ -273,6 +303,11 @@ class TestRunAndEval:
         for args in (nal_args, head_args):
             assert main(args + ["--epochs", "0"]) == 1
             assert "--epochs" in capsys.readouterr().err
+        # So are a lambda or a gamma out of range, before any training step.
+        for flag, value, name in [("--lambda", "-1", "lam"), ("--lambda", "nan", "lam"), ("--lambda", "inf", "lam"),
+                                  ("--gamma", "nan", "gamma"), ("--gamma", "0.5", "gamma")]:
+            assert main(nal_args + [flag, value, "--epochs", "1"]) == 1
+            assert f"input error: {name} must be" in capsys.readouterr().err
 
     def test_bad_config_is_input_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

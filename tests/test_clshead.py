@@ -40,6 +40,11 @@ class TestLogits:
         with pytest.raises(ValueError, match="dim"):
             logits(head, np.zeros(4))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            ClassifierHead(weights=np.eye(2), mode="cosine", scale=scale)
+
     def test_cosine_invariant_to_positive_rescaling(self):
         rng = np.random.default_rng(0)
         head = random_head(rng, 3, 5, "cosine")

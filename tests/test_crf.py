@@ -1,6 +1,7 @@
-"""Unary construction and mean-field inference, naive engine as the oracle."""
+"""Unary construction and mean-field inference, dense engine as the oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from bana import crf
 from bana.core import BBox, BoxSet
-from bana.crf import CrfParams, build_unary, mean_field, mean_field_naive
+from bana.crf import CrfParams, build_unary, mean_field
 
 
 def _flat_image(h, w, value=128):
@@ -160,10 +161,20 @@ class TestMeanField:
         labels, _ = mean_field(unary, _flat_image(2, 2), CrfParams(w1=0.0, w2=0.0, iterations=1))
         assert np.all(labels == 0)
 
-    def test_naive_size_guard(self):
-        unary = np.full((2, 65, 65), 0.5)
-        with pytest.raises(ValueError, match="naive"):
-            mean_field_naive(unary, _flat_image(65, 65), CrfParams(iterations=1))
+    def test_dense_size_guard(self, monkeypatch):
+        # 71^2 pixels need a 5041^2 kernel, past the limit: the engine must
+        # refuse before it builds (or allocates) the kernel.
+        assert (71 * 71) ** 2 > crf._DENSE_LIMIT
+        unary = np.full((2, 71, 71), 0.5)
+        monkeypatch.setattr(crf, "_kernel_matrix", lambda *a: pytest.fail("kernel built"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="use the lattice engine"):
+                mean_field(unary, _flat_image(71, 71), CrfParams(iterations=1), method="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_input_validation(self):
         params = CrfParams()
@@ -184,6 +195,12 @@ class TestMeanField:
             CrfParams(iterations=-1)
         with pytest.raises(ValueError):
             CrfParams(unary_floor=0.0)
+
+    @pytest.mark.parametrize("name", ["w1", "w2", "theta_alpha", "theta_beta", "theta_gamma", "unary_floor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            CrfParams(**{name: value})
 
 
 def test_lattice_vertex_codes_match_their_definition():

@@ -287,6 +287,16 @@ class TestTrainSegHead:
         with pytest.raises(ValueError, match="at least one"):
             train_seg_head([], 2)
 
+    @pytest.mark.parametrize("setting, match", [
+        ({"gamma": 0.5}, "gamma"), ({"gamma": float("nan")}, "gamma"),
+        ({"lam": -1.0}, "lam"), ({"lam": float("nan")}, "lam"), ({"lam": float("inf")}, "lam"),
+    ])
+    def test_bad_gamma_or_lambda_rejected_before_training(self, monkeypatch, setting, match):
+        noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=2)
+        monkeypatch.setattr(nal, "nal_loss_and_grad", lambda *a, **k: pytest.fail("training started"))
+        with pytest.raises(ValueError, match=match):
+            train_seg_head(noisy, num_classes, epochs=1, **setting)
+
 
 class TestPredict:
     def test_probabilities_shape_and_simplex(self):

@@ -107,6 +107,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="epochs"):
             PipelineConfig(corpus_dir="c", out_dir="o", seg_epochs=0)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["gamma", "lam", "head_lr", "seg_scale", "crf_w1", "crf_w2",
+                                     "crf_theta_alpha", "crf_theta_beta", "crf_theta_gamma"])
+    def test_non_finite_rejected(self, key, literal):
+        # Python's json reads these literals as floats.
+        d = json.loads(f'{{"corpus_dir": "c", "out_dir": "o", "{key}": {literal}}}')
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            PipelineConfig.from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("crf_theta_alpha", 0.0), ("crf_theta_beta", -1.0), ("crf_theta_gamma", 0.0),
+        ("crf_w1", -0.5), ("crf_iterations", -1), ("crf_unary_floor", 1.0),
+    ])
+    def test_crf_ranges_checked_when_built(self, key, value):
+        with pytest.raises(ValueError):
+            PipelineConfig(corpus_dir="c", out_dir="o", **{key: value})
+
 
 class TestStages:
     def test_full_run_emits_all_artifacts(self, mini_corpus, tmp_path):
