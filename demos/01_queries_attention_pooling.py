@@ -34,7 +34,7 @@ mask = build_background_mask(boxes, H, W)
 print(f"definite background covers {mask.mean():.0%} of the grid")
 
 queries = extract_queries(features, mask, grid_size=2)
-print(f"grid 2x2 -> {queries.count} valid cells (cells buried in boxes would be skipped)")
+print(f"grid 2x2 -> {len(queries)} valid cells (cells buried in boxes would be skipped)")
 
 # --- the attention map ------------------------------------------------------
 attn = attention_map(features, queries, boxes)

@@ -17,7 +17,7 @@ dense pseudo labels and trains classifier heads on them:
 """
 
 from .core import IGNORE, BBox, BoxSet, build_background_mask, resize_boxes
-from .bgattn import QuerySet, attention_map, bap_pool, extract_queries
+from .bgattn import attention_map, bap_pool, extract_queries
 from .clshead import ClassifierHead, cam, ce_loss_and_grad, init_head, logits, sgd_train
 from .crf import CrfParams, build_unary, mean_field
 from .pseudolabel import FusedLabels, extract_prototypes, filling_rate, fuse_labels, retrieval_labels
@@ -34,7 +34,6 @@ __all__ = [
     "BoxSet",
     "build_background_mask",
     "resize_boxes",
-    "QuerySet",
     "attention_map",
     "bap_pool",
     "extract_queries",

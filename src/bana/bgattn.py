@@ -27,19 +27,6 @@ _WEIGHT_EPS = 1e-12
 
 
 @dataclass
-class QuerySet:
-    """Background queries: one mask-weighted mean feature per valid cell."""
-
-    vectors: np.ndarray  # (J, C) float64
-    cell_ids: np.ndarray  # (J,) int, row-major cell index in [0, N*N)
-    grid_size: int
-
-    @property
-    def count(self) -> int:
-        return int(self.vectors.shape[0])
-
-
-@dataclass
 class PooledFeature:
     """Foreground descriptor of one box plus its total foreground weight."""
 
@@ -48,20 +35,21 @@ class PooledFeature:
 
 
 def _grid_cells(h: int, w: int, n: int):
-    """Row-major (cell_id, row_slice, col_slice) for an n x n partition."""
+    """Row-major (row_slice, col_slice) pairs for an n x n partition."""
     for r in range(n):
         y0, y1 = (r * h) // n, ((r + 1) * h) // n
         for c in range(n):
             x0, x1 = (c * w) // n, ((c + 1) * w) // n
-            yield r * n + c, slice(y0, y1), slice(x0, x1)
+            yield slice(y0, y1), slice(x0, x1)
 
 
-def extract_queries(features: np.ndarray, background_mask: np.ndarray, grid_size: int) -> QuerySet:
-    """Mask-weighted mean feature of every grid cell that touches background.
+def extract_queries(features: np.ndarray, background_mask: np.ndarray, grid_size: int) -> np.ndarray:
+    """The (J, C) background queries: the mask-weighted mean feature of every
+    grid cell that touches background, in row-major cell order.
 
     Cells whose pixels are all covered by boxes carry no information about
-    the background and are skipped, so the result may hold fewer than
-    ``grid_size**2`` queries -- possibly zero for a fully boxed image.
+    the background and are skipped, so J may be less than ``grid_size**2``
+    -- possibly zero for a fully boxed image.
     """
     f = as_feature_map(features)
     if grid_size < 1:
@@ -70,36 +58,30 @@ def extract_queries(features: np.ndarray, background_mask: np.ndarray, grid_size
     if m.shape != f.shape[1:]:
         raise ValueError(f"mask shape {m.shape} does not match feature grid {f.shape[1:]}")
     m = m.astype(np.float64)
-    vectors, ids = [], []
-    for cell_id, rows, cols in _grid_cells(f.shape[1], f.shape[2], grid_size):
+    vectors = []
+    for rows, cols in _grid_cells(f.shape[1], f.shape[2], grid_size):
         weight = m[rows, cols].sum()
-        if weight <= 0.0:
-            continue
-        vectors.append((f[:, rows, cols] * m[rows, cols]).sum(axis=(1, 2)) / weight)
-        ids.append(cell_id)
-    if vectors:
-        vec = np.stack(vectors)
-    else:
-        vec = np.zeros((0, f.shape[0]), dtype=np.float64)
-    return QuerySet(vectors=vec, cell_ids=np.asarray(ids, dtype=np.intp), grid_size=grid_size)
+        if weight > 0.0:
+            vectors.append((f[:, rows, cols] * m[rows, cols]).sum(axis=(1, 2)) / weight)
+    return np.stack(vectors) if vectors else np.zeros((0, f.shape[0]), dtype=np.float64)
 
 
-def attention_map(features: np.ndarray, queries: QuerySet, boxes: BoxSet) -> np.ndarray:
+def attention_map(features: np.ndarray, queries: np.ndarray, boxes: BoxSet) -> np.ndarray:
     """Per-pixel background likelihood in [0, 1].
 
     Outside every box the pixel is definite background and A = 1. Inside,
-    A(p) is the mean over queries of ReLU(cos(f(p), q_j)). With no valid
-    query (fully boxed image) A = 0 inside the boxes, which turns the
+    A(p) is the mean over the (J, C) queries q_j of ReLU(cos(f(p), q_j)).
+    With no query (fully boxed image) A = 0 inside the boxes, which turns the
     downstream pooling into a plain box average.
     """
     f = as_feature_map(features)
     c, h, w = f.shape
     inside = box_interior_mask(boxes, h, w).astype(bool)
-    if queries.count == 0:
+    if len(queries) == 0:
         return np.where(inside, 0.0, 1.0)
     # Zero-norm rows stay zero, which makes their cosine contributions 0.
     fhat = unit_norm(f.reshape(c, -1).T, axis=1)  # (HW, C)
-    qhat = unit_norm(queries.vectors.astype(np.float64), axis=1)  # (J, C)
+    qhat = unit_norm(np.asarray(queries, dtype=np.float64), axis=1)  # (J, C)
     sims = np.maximum(fhat @ qhat.T, 0.0)  # ReLU-truncated cosines
     a = sims.mean(axis=1).reshape(h, w)
     a[~inside] = 1.0

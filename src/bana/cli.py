@@ -40,13 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_crf_flags(p: argparse.ArgumentParser, defaults: CrfParams) -> None:
-    p.add_argument("--iters", type=int, default=defaults.iterations)
-    p.add_argument("--w1", type=float, default=defaults.w1)
-    p.add_argument("--w2", type=float, default=defaults.w2)
-    p.add_argument("--theta-alpha", type=float, default=defaults.theta_alpha)
-    p.add_argument("--theta-beta", type=float, default=defaults.theta_beta)
-    p.add_argument("--theta-gamma", type=float, default=defaults.theta_gamma)
+# The CrfParams fields that `bana labels` and `bana crf` expose, and their flags.
+_CRF_FLAGS = {"iterations": "--iters", "w1": "--w1", "w2": "--w2",
+              "theta_alpha": "--theta-alpha", "theta_beta": "--theta-beta", "theta_gamma": "--theta-gamma"}
+
+
+def _add_crf_flags(p: argparse.ArgumentParser) -> None:
+    defaults = CrfParams()
+    for name, flag in _CRF_FLAGS.items():
+        default = getattr(defaults, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default)
 
 
 def _positive_int(text: str) -> int:
@@ -57,14 +60,7 @@ def _positive_int(text: str) -> int:
 
 
 def _crf_params(args) -> CrfParams:
-    return CrfParams(
-        w1=args.w1,
-        w2=args.w2,
-        theta_alpha=args.theta_alpha,
-        theta_beta=args.theta_beta,
-        theta_gamma=args.theta_gamma,
-        iterations=args.iters,
-    )
+    return CrfParams(**{name: getattr(args, name) for name in _CRF_FLAGS})
 
 
 def build_parser() -> _Parser:
@@ -107,14 +103,14 @@ def build_parser() -> _Parser:
                    help="background score threshold; 0 keeps the raw attention map")
     p.add_argument("--out-attention", default=None, help="also dump the attention map as .btf")
     p.add_argument("--filling-rate-csv", default=None)
-    _add_crf_flags(p, CrfParams())
+    _add_crf_flags(p)
 
     p = sub.add_parser("crf", help="mean-field inference on a unary stack")
     p.add_argument("--unary", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--marginals", default=None, help="dump final marginals as rank-3 .btf")
-    _add_crf_flags(p, CrfParams())
+    _add_crf_flags(p)
 
     p = sub.add_parser("nal-train", help="train the segmentation head")
     p.add_argument("--features-dir", required=True)

@@ -99,8 +99,17 @@ def weighted_ce_loss_and_grad(
         raise ValueError("targets and sample_weights must be 1-D of batch length")
     if t.min() < 0 or t.max() > head.num_classes:
         raise ValueError(f"targets must lie in [0, {head.num_classes}]")
+    if x.shape[1] != head.dim:
+        raise ValueError(f"feature dim {x.shape[1]} does not match head dim {head.dim}")
 
-    z = logits(head, x)  # (n, L+1)
+    # The logits of :func:`logits`, keeping the cosine factors for the gradient.
+    if head.mode == "dot":
+        z = x @ head.weights.T
+    else:
+        xhat = unit_norm(x, axis=1)
+        what = unit_norm(head.weights, axis=1)
+        cos = xhat @ what.T  # (n, L+1)
+        z = head.scale * cos
     p = softmax(z, axis=1)
     n = x.shape[0]
     loss = float(-(sw * np.log(np.maximum(p[np.arange(n), t], 1e-300))).sum())
@@ -112,10 +121,7 @@ def weighted_ce_loss_and_grad(
     if head.mode == "dot":
         grad = dz.T @ x
     else:
-        xhat = unit_norm(x, axis=1)
-        what = unit_norm(head.weights, axis=1)
         wnorm = np.linalg.norm(head.weights, axis=1)
-        cos = xhat @ what.T  # (n, L+1)
         # d logit_c / d w_c = s / |w_c| * (xhat - cos * what_c)
         term1 = dz.T @ xhat  # (L+1, C)
         term2 = (dz * cos).sum(axis=0)[:, None] * what
@@ -126,20 +132,19 @@ def weighted_ce_loss_and_grad(
 
 def ce_loss_and_grad(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. the weights."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("need a nonempty (n, C) batch")
-    w = np.full(x.shape[0], 1.0 / x.shape[0])
-    return weighted_ce_loss_and_grad(head, x, targets, w)
+    n = len(x)
+    return weighted_ce_loss_and_grad(head, x, targets, np.ones(n) / n)
 
 
 def lr_schedule(lr: float | list[float], epochs: int) -> list[float]:
-    """Per-epoch learning rates from a scalar or a schedule of ``epochs`` entries."""
-    if isinstance(lr, (int, float)):
-        return [float(lr)] * epochs
-    schedule = [float(v) for v in lr]
+    """Per-epoch learning rates from a scalar or a schedule of ``epochs`` entries,
+    each finite and > 0."""
+    schedule = [float(lr)] * epochs if isinstance(lr, (int, float)) else [float(v) for v in lr]
     if len(schedule) != epochs:
         raise ValueError(f"lr schedule has {len(schedule)} entries for {epochs} epochs")
+    bad = [v for v in schedule if not 0.0 < v < np.inf]  # written so that NaN fails too
+    if bad:
+        raise ValueError(f"lr must be finite and > 0, got {bad[0]}")
     return schedule
 
 

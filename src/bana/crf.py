@@ -69,14 +69,15 @@ class CrfParams:
     unary_floor: float = 1e-5
 
     def __post_init__(self) -> None:
+        # Each message starts with the field name: PipelineConfig prefixes "crf_".
         for name in ("w1", "w2", "theta_alpha", "theta_beta", "theta_gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("theta_alpha", "theta_beta", "theta_gamma"):
-            if getattr(self, name) <= 0.0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name.startswith("w") and value < 0.0:
+                raise ValueError(f"{name} must be >= 0")
+            if name.startswith("theta") and value <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if self.w1 < 0.0 or self.w2 < 0.0:
-            raise ValueError("kernel weights must be >= 0")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if not (0.0 < self.unary_floor < 1.0):

@@ -34,6 +34,7 @@ class SegLossReport:
     lam: float
     n_agree: int
     n_disagree: int
+    confidence: np.ndarray | None = None  # the sigma map used; None when no pixel disagrees
 
 
 def correlation_maps(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
@@ -76,11 +77,9 @@ def nal_loss_and_grad(
 ) -> tuple[SegLossReport, np.ndarray]:
     """Noise-aware loss over one image and its gradient w.r.t. the head.
 
-    ``confidence`` overrides the internally computed weights; the training
-    loop passes the map it already computed for a confidence hook and None
-    otherwise (recomputed from the current weights each step), while
+    ``confidence`` overrides the weights computed from the current head;
     gradient probes pass a fixed map since the analytic gradient treats the
-    weights as constants.
+    weights as constants. The report records the map used.
     """
     f = as_feature_map(features)
     if fused.fused.shape != f.shape[1:]:
@@ -89,14 +88,14 @@ def nal_loss_and_grad(
     t = fused.y_crf.ravel().astype(np.intp)  # the fused label wherever the maps agree
     # Agreement pixels weigh 1/n each; disagreement pixels sigma / sum(sigma),
     # their loss and gradient scaled by lam.
-    losses, grad = [0.0, 0.0], np.zeros_like(head.weights)
+    losses, grad, sigma = [0.0, 0.0], np.zeros_like(head.weights), None
     for k, (region, factor) in enumerate(((fused.agree, 1.0), (fused.disagree, lam))):
         idx = np.flatnonzero(region.ravel())
         if idx.size == 0:
             continue
-        if k == 1 and confidence is None:
-            confidence = confidence_map(correlation_maps(f, head), fused.y_crf, gamma)
-        weights = np.ones(idx.size) if k == 0 else np.asarray(confidence, dtype=np.float64).ravel()[idx]
+        if k == 1:
+            sigma = confidence_map(correlation_maps(f, head), fused.y_crf, gamma) if confidence is None else confidence
+        weights = np.ones(idx.size) if k == 0 else np.asarray(sigma, dtype=np.float64).ravel()[idx]
         total = weights.sum()
         if total > 0.0:
             losses[k], g = weighted_ce_loss_and_grad(head, x[idx], t[idx], weights / total)
@@ -109,6 +108,7 @@ def nal_loss_and_grad(
         lam=lam,
         n_agree=int(fused.agree.sum()),
         n_disagree=int(fused.disagree.sum()),
+        confidence=sigma,
     )
     return report, grad
 
@@ -136,8 +136,8 @@ def train_seg_head(
     every update (weight decay is immaterial then).
     Confidence weights are recomputed from the current weights at every
     step. ``confidence_hook(epoch, index, sigma)``, when given, receives the
-    confidence map of each image once per epoch. Deterministic for a fixed
-    seed; returns the head and per-epoch losses.
+    confidence map of each image with disputed pixels once per epoch.
+    Deterministic for a fixed seed; returns the head and per-epoch losses.
     """
     if not samples:
         raise ValueError("need at least one training image")
@@ -159,11 +159,9 @@ def train_seg_head(
         epoch_loss = 0.0
         for i in order:
             features, fused = samples[i]
-            sigma = None
-            if confidence_hook is not None and fused.disagree.any():
-                sigma = confidence_map(correlation_maps(features, head), fused.y_crf, gamma)
-                confidence_hook(epoch, int(i), sigma)
-            report, grad = nal_loss_and_grad(features, head, fused, gamma=gamma, lam=lam, confidence=sigma)
+            report, grad = nal_loss_and_grad(features, head, fused, gamma=gamma, lam=lam)
+            if confidence_hook is not None and report.confidence is not None:
+                confidence_hook(epoch, int(i), report.confidence)
             epoch_loss += report.total
             velocity = momentum * velocity - schedule[epoch] * (grad + weight_decay * head.weights)
             head = replace(head, weights=unit_norm(head.weights + velocity, axis=1))

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clshead, fileio, metrics, nal
-from .bgattn import QuerySet, attention_map, bap_pool, extract_queries
+from .bgattn import attention_map, bap_pool, extract_queries
 from .clshead import ClassifierHead, cam, init_head, sgd_train
 from .core import IGNORE, BoxSet, build_background_mask, nearest_resize, resize_boxes
 from .crf import CrfParams, build_unary, mean_field
@@ -101,30 +101,30 @@ class PipelineConfig:
         for f in dataclasses.fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.grid_size_train < 1 or self.grid_size_label < 1:
-            raise ValueError("grid sizes must be >= 1")
-        if not (0.0 <= self.attn_threshold <= 1.0):
-            raise ValueError("attn_threshold must lie in [0, 1]")
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be >= 1")
-        if self.lam < 0.0:
-            raise ValueError("lam must be >= 0")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.head_epochs < 1 or self.seg_epochs < 1:
-            raise ValueError("head_epochs and seg_epochs must be >= 1")
-        self.crf_params()  # CrfParams checks the crf_* ranges
+        for rule, ok, keys in (
+            (">= 1", lambda v: v >= 1, ("num_classes", "jobs", "grid_size_train", "head_epochs", "head_batch_size",
+                                        "grid_size_label", "gamma", "seg_epochs")),
+            (">= 0", lambda v: v >= 0, ("seed", "head_lr_drop_epoch", "weight_decay", "lam", "dump_confidence_every")),
+            ("> 0", lambda v: v > 0, ("head_scale", "seg_scale")),
+            ("in [0, 1)", lambda v: 0 <= v < 1, ("momentum",)),
+            ("in [0, 1]", lambda v: 0 <= v <= 1, ("attn_threshold",)),
+        ):
+            for key in keys:
+                value = getattr(self, key)
+                if value is not None and not ok(value):  # None: num_classes or head_lr_drop_epoch unset
+                    raise ValueError(f"{key} must be {rule}, got {value!r}")
+        # CrfParams and lr_schedule check the rest; their messages start with
+        # the field name, which the prefix turns into the config key.
+        for prefix, build in (("crf_", self.crf_params), ("head_", lambda: clshead.lr_schedule(self.head_lr, 1)),
+                              ("seg_", lambda: clshead.lr_schedule(self.seg_lr, 1))):
+            try:
+                build()
+            except ValueError as e:
+                raise ValueError(f"{prefix}{e}") from None
 
     def crf_params(self) -> CrfParams:
-        return CrfParams(
-            w1=self.crf_w1,
-            w2=self.crf_w2,
-            theta_alpha=self.crf_theta_alpha,
-            theta_beta=self.crf_theta_beta,
-            theta_gamma=self.crf_theta_gamma,
-            iterations=self.crf_iterations,
-            unary_floor=self.crf_unary_floor,
-        )
+        """The CrfParams whose field ``x`` is this config's ``crf_x``."""
+        return CrfParams(**{f.name: getattr(self, f"crf_{f.name}") for f in dataclasses.fields(CrfParams)})
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -205,7 +205,7 @@ def _corpus_num_classes(cfg: PipelineConfig, corpus: Path, ids: list[str]) -> in
 # ---------------------------------------------------------------------------
 
 
-def _background_attention(features: np.ndarray, boxes: BoxSet, grid_size: int) -> tuple[BoxSet, QuerySet, np.ndarray]:
+def _background_attention(features: np.ndarray, boxes: BoxSet, grid_size: int) -> tuple[BoxSet, np.ndarray, np.ndarray]:
     """The boxes resized to the feature grid, the background queries and the
     attention map of one image, shared by stages 1 and 2."""
     fh, fw = features.shape[1], features.shape[2]
@@ -221,8 +221,8 @@ def collect_training_samples(
     (class 0) of one image, as an (n, C), (n,) pair. Never empty: every box
     pools a vector, and an image without boxes gives background queries."""
     resized, queries, attn = _background_attention(features, boxes, grid_size)
-    vecs = [bap_pool(features, attn, b).vector for b in resized.boxes] + list(queries.vectors)
-    targets = [b.class_id for b in resized.boxes] + [0] * queries.count
+    vecs = [bap_pool(features, attn, b).vector for b in resized.boxes] + list(queries)
+    targets = [b.class_id for b in resized.boxes] + [0] * len(queries)
     return np.stack(vecs), np.asarray(targets, dtype=np.intp)
 
 
@@ -381,6 +381,8 @@ def nal_train(features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], 
     the keyword arguments of :func:`~bana.nal.train_seg_head`. Each image's
     confidence map goes to ``confidence_dir`` at epochs 0, N, 2N, ... for
     ``confidence_every`` N >= 1; N = 0 writes none."""
+    if confidence_every < 0:
+        raise ValueError(f"confidence_every must be >= 0, got {confidence_every}")
     samples = _load_seg_samples(features_dir, crf_dir, ret_dir, ids, num_classes)
     hook = None
     if confidence_dir is not None and confidence_every > 0:
@@ -569,26 +571,15 @@ def noise_robustness_experiment(
             num_classes=num_classes, rng=rng,
         )))
 
-    def train(sample_list, lam):
-        return nal.train_seg_head(sample_list, num_classes, **{**_seg_settings(cfg), "lam": lam})[0]
-
-    heads = {}
-    if "nal" in variants:
-        heads["nal"] = train(noisy, cfg.lam)
-    if "ignore" in variants:
-        heads["ignore"] = train(noisy, 0.0)
-    if "plain" in variants:
-        # Same noisy CRF labels, but treated as fully trusted everywhere.
-        plain = [(f, fuse_labels(fl.y_crf, fl.y_crf)) for f, fl in noisy]
-        heads["plain"] = train(plain, 0.0)
-
+    # plain: the same noisy CRF labels, but treated as fully trusted everywhere.
+    plain = [(f, fuse_labels(fl.y_crf, fl.y_crf)) for f, fl in noisy]
+    runs = {"nal": (noisy, cfg.lam), "ignore": (noisy, 0.0), "plain": (plain, 0.0)}
+    gts = [fileio.read_label_map(corpus / "gt" / f"{image_id}.pgm", num_classes) for image_id in ids]
     result = {"disputed_class": disputed_class, "noise_frac": noise_frac}
-    n = num_classes + 1
-    for name, head in heads.items():
-        cm = np.zeros((n, n), dtype=np.int64)
-        for image_id, (f, _) in zip(ids, noisy):
-            gt = fileio.read_label_map(corpus / "gt" / f"{image_id}.pgm", num_classes)
-            pred = nal.predict_labels(f, head, gt.shape[0], gt.shape[1])
-            cm += metrics.confusion(pred, gt, num_classes)
-        result[name] = metrics.score(cm)
+    for name, (train_samples, lam) in runs.items():
+        if name in variants:
+            head = nal.train_seg_head(train_samples, num_classes, **{**_seg_settings(cfg), "lam": lam})[0]
+            cm = sum(metrics.confusion(nal.predict_labels(f, head, *gt.shape), gt, num_classes)
+                     for (f, _), gt in zip(noisy, gts))
+            result[name] = metrics.score(cm)
     return result

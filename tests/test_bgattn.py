@@ -16,15 +16,15 @@ class TestExtractQueries:
         rng = np.random.default_rng(0)
         f = rng.normal(size=(3, 6, 7))
         qs = extract_queries(f, np.ones((6, 7), dtype=np.uint8), 1)
-        assert qs.count == 1
-        np.testing.assert_allclose(qs.vectors[0], f.mean(axis=(1, 2)), rtol=1e-12)
+        assert qs.shape == (1, 3)
+        np.testing.assert_allclose(qs[0], f.mean(axis=(1, 2)), rtol=1e-12)
 
     def test_hand_computed_weighted_mean(self):
         # 2x2 map, box covers the right column; masked mean of the left column
         f = np.array([[[1.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]])
         mask = build_background_mask(_grid(2, 2, BBox(1, 1, 0, 2, 2)), 2, 2)
         qs = extract_queries(f, mask, 1)
-        np.testing.assert_allclose(qs.vectors[0], [1.0, 0.0])
+        np.testing.assert_allclose(qs[0], [1.0, 0.0])
 
     def test_fully_boxed_cells_are_skipped(self):
         rng = np.random.default_rng(1)
@@ -32,18 +32,19 @@ class TestExtractQueries:
         # box covers the top-left 4x4 cell of a 2x2 grid exactly
         mask = build_background_mask(_grid(8, 8, BBox(1, 0, 0, 4, 4)), 8, 8)
         qs = extract_queries(f, mask, 2)
-        assert qs.count == 3
-        assert 0 not in qs.cell_ids.tolist()
+        # cells 1, 2 and 3 in row-major order, each wholly background
+        expected = [f[:, :4, 4:].mean(axis=(1, 2)), f[:, 4:, :4].mean(axis=(1, 2)), f[:, 4:, 4:].mean(axis=(1, 2))]
+        np.testing.assert_allclose(qs, expected, rtol=1e-12)
 
     def test_fully_boxed_image_yields_no_queries(self):
         f = np.ones((2, 4, 4))
         mask = build_background_mask(_grid(4, 4, BBox(1, 0, 0, 4, 4)), 4, 4)
-        assert extract_queries(f, mask, 3).count == 0
+        assert extract_queries(f, mask, 3).shape == (0, 2)
 
     def test_grid_finer_than_map_is_legal(self):
         f = np.ones((1, 2, 2))
         qs = extract_queries(f, np.ones((2, 2), dtype=np.uint8), 5)
-        assert qs.count == 4  # empty cells simply vanish
+        assert len(qs) == 4  # empty cells simply vanish
 
 
 class TestAttentionMap:
@@ -89,7 +90,7 @@ class TestAttentionMap:
                     assert a[y, x] == 1.0
                     continue
                 sims = []
-                for q in qs.vectors:
+                for q in qs:
                     v = f[:, y, x]
                     c = float(v @ q / (np.linalg.norm(v) * np.linalg.norm(q)))
                     sims.append(max(c, 0.0))

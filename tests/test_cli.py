@@ -1,12 +1,14 @@
 """The bana command: subcommands, exit codes, artifact wiring."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from bana import fileio
-from bana.cli import main
+from bana.cli import _crf_params, build_parser, main
+from bana.crf import CrfParams
 from bana.pipeline import PipelineConfig, run_pipeline
 
 
@@ -147,8 +149,26 @@ class TestCrf:
         assert rc == 1
 
 
+class TestCrfFlags:
+    REQUIRED = {
+        "labels": ["--features", "f", "--boxes", "b", "--image", "i", "--head", "h",
+                   "--out-crf", "c", "--out-ret", "r", "--out-fused", "u"],
+        "crf": ["--unary", "u", "--image", "i", "--out", "y"],
+    }
+
+    @pytest.mark.parametrize("command", ["labels", "crf"])
+    def test_defaults_and_each_flag_sets_its_own_field(self, command):
+        base = [command] + self.REQUIRED[command]
+        assert _crf_params(build_parser().parse_args(base)) == CrfParams()
+        for flag, name, value in [("--iters", "iterations", 7), ("--w1", "w1", 1.5), ("--w2", "w2", 2.5),
+                                  ("--theta-alpha", "theta_alpha", 11.0), ("--theta-beta", "theta_beta", 13.0),
+                                  ("--theta-gamma", "theta_gamma", 2.0)]:
+            params = _crf_params(build_parser().parse_args(base + [flag, str(value)]))
+            assert params == dataclasses.replace(CrfParams(), **{name: value}), flag
+
+
 class TestRunAndEval:
-    def test_config_driven_run_and_eval(self, corpus, tmp_path):
+    def test_config_driven_run_and_eval(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = PipelineConfig(
             corpus_dir=str(corpus), out_dir=str(out), head_epochs=25, seg_epochs=10
@@ -163,6 +183,13 @@ class TestRunAndEval:
         for bad in ({"jobs": "2"}, {"crf_theta_alpha": "5"}, {"jobs": True}):
             bad_path.write_text(json.dumps({**json.loads(cfg.to_json()), **bad}))
             assert main(["run", "--config", str(bad_path)]) == 1
+        # an out-of-range value is reported under its config key, before any stage runs
+        for key, value in (("crf_theta_alpha", 0), ("head_batch_size", 0), ("seg_scale", 0)):
+            bad_path.write_text(json.dumps({**json.loads(cfg.to_json()), key: value, "out_dir": str(tmp_path / key)}))
+            capsys.readouterr()
+            assert main(["run", "--config", str(bad_path)]) == 1
+            assert f"input error: {key} must be" in capsys.readouterr().err
+            assert not (tmp_path / key).exists()
 
         report_path = tmp_path / "eval.json"
         rc = main(
@@ -303,9 +330,13 @@ class TestRunAndEval:
         for args in (nal_args, head_args):
             assert main(args + ["--epochs", "0"]) == 1
             assert "--epochs" in capsys.readouterr().err
-        # So are a lambda or a gamma out of range, before any training step.
+            for lr in ("-1", "nan"):
+                assert main(args + ["--lr", lr, "--epochs", "1"]) == 1
+                assert "input error: lr must be finite and > 0" in capsys.readouterr().err
+        # So are a lambda, a gamma or a dump stride out of range, before any training step.
         for flag, value, name in [("--lambda", "-1", "lam"), ("--lambda", "nan", "lam"), ("--lambda", "inf", "lam"),
-                                  ("--gamma", "nan", "gamma"), ("--gamma", "0.5", "gamma")]:
+                                  ("--gamma", "nan", "gamma"), ("--gamma", "0.5", "gamma"),
+                                  ("--dump-confidence-every", "-1", "confidence_every")]:
             assert main(nal_args + [flag, value, "--epochs", "1"]) == 1
             assert f"input error: {name} must be" in capsys.readouterr().err
 

@@ -13,6 +13,7 @@ from bana.clshead import (
     init_head,
     load_head,
     logits,
+    lr_schedule,
     save_head,
     sgd_train,
     softmax,
@@ -141,6 +142,11 @@ class TestSgdTrain:
         head = init_head(1, 2, seed=0)
         with pytest.raises(ValueError, match="schedule"):
             sgd_train(head, np.zeros((2, 2)), np.array([0, 1]), epochs=3, lr=[0.1, 0.1], seed=0)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf"), [0.1, -0.1]])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            lr_schedule(lr, 2)
 
     def test_gaussian_init_statistics(self):
         head = init_head(40, 400, seed=0, init_std=1e-2)

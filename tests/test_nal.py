@@ -127,6 +127,16 @@ class TestNalLoss:
         plain, _ = ce_loss_and_grad(head, x, t)
         assert report.loss_disagree == pytest.approx(plain, rel=1e-12)
 
+    def test_report_records_the_confidence_used(self):
+        rng = np.random.default_rng(8)
+        f, head, fused = self._instance(rng)
+        report, _ = nal_loss_and_grad(f, head, fused, gamma=3.0)
+        expected = confidence_map(correlation_maps(f, head), fused.y_crf, 3.0)
+        np.testing.assert_array_equal(report.confidence, expected)
+        agreed = fuse_labels(fused.y_crf, fused.y_crf)
+        assert nal_loss_and_grad(f, head, agreed, gamma=3.0)[0].confidence is None
+        assert nal_loss_and_grad(f, head, agreed, confidence=expected)[0].confidence is None
+
     def test_no_disagreement_makes_lambda_irrelevant(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=(3, 4, 4))
@@ -290,6 +300,7 @@ class TestTrainSegHead:
     @pytest.mark.parametrize("setting, match", [
         ({"gamma": 0.5}, "gamma"), ({"gamma": float("nan")}, "gamma"),
         ({"lam": -1.0}, "lam"), ({"lam": float("nan")}, "lam"), ({"lam": float("inf")}, "lam"),
+        ({"lr": -5.0}, "lr"), ({"lr": float("nan")}, "lr"),
     ])
     def test_bad_gamma_or_lambda_rejected_before_training(self, monkeypatch, setting, match):
         noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=2)

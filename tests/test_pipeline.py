@@ -107,6 +107,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="epochs"):
             PipelineConfig(corpus_dir="c", out_dir="o", seg_epochs=0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_classes", 0), ("seed", -1), ("jobs", 0), ("grid_size_train", 0), ("grid_size_label", 0),
+        ("head_epochs", 0), ("seg_epochs", 0), ("head_lr", 0.0), ("seg_lr", -1.0), ("head_lr_drop_epoch", -3),
+        ("head_batch_size", 0), ("head_scale", 0.0), ("seg_scale", 0.0), ("momentum", 1.5), ("momentum", 1.0),
+        ("momentum", -0.1), ("weight_decay", -1e-4), ("attn_threshold", 1.5), ("gamma", 0.5), ("lam", -0.1),
+        ("dump_confidence_every", -1),
+    ])
+    def test_range_error_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            PipelineConfig(corpus_dir="c", out_dir="o", **{key: value})
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("key", ["gamma", "lam", "head_lr", "seg_scale", "crf_w1", "crf_w2",
                                      "crf_theta_alpha", "crf_theta_beta", "crf_theta_gamma"])
@@ -118,10 +129,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("crf_theta_alpha", 0.0), ("crf_theta_beta", -1.0), ("crf_theta_gamma", 0.0),
-        ("crf_w1", -0.5), ("crf_iterations", -1), ("crf_unary_floor", 1.0),
+        ("crf_w1", -0.5), ("crf_w2", -0.5), ("crf_iterations", -1), ("crf_unary_floor", 1.0),
     ])
     def test_crf_ranges_checked_when_built(self, key, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{key} must"):
             PipelineConfig(corpus_dir="c", out_dir="o", **{key: value})
 
 
