@@ -70,9 +70,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic test corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--images", type=int, default=50)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--images", type=_positive_int, default=50)
+    p.add_argument("--size", type=_positive_int, default=64)
+    p.add_argument("--classes", type=_positive_int, default=3)
 
     p = sub.add_parser("run", help="run the configured pipeline stages")
     p.add_argument("--config", required=True)
@@ -87,8 +87,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=_positive_int, default=60)
     p.add_argument("--lr", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=None, help="number of object classes (default: inferred)")
-    p.add_argument("--mode", choices=clshead.MODES, default="dot")
+    p.add_argument("--classes", type=_positive_int, default=None, help="number of object classes (default: inferred)")
 
     p = sub.add_parser("labels", help="generate pseudo labels for one image")
     p.add_argument("--features", required=True)
@@ -122,7 +121,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=_positive_int, default=30)
     p.add_argument("--lr", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=None)
+    p.add_argument("--classes", type=_positive_int, default=None)
     p.add_argument("--loss-csv", default=None)
     p.add_argument("--dump-confidence-dir", default=None,
                    help="write per-image confidence maps as .btf while training")
@@ -132,7 +131,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score predictions against references")
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--ref-dir", required=True)
-    p.add_argument("--classes", type=int, required=True)
+    p.add_argument("--classes", type=_positive_int, required=True)
     p.add_argument("--out", default=None, help="write the JSON report here as well")
 
     return parser
@@ -163,7 +162,7 @@ def _cmd_train_head(args) -> int:
     num_classes = pipeline.resolve_num_classes(args.classes, None, pipeline.box_class_ids(boxes_dir, ids))
     head, losses = pipeline.train_head(
         features_dir, boxes_dir, ids, num_classes,
-        grid_size=args.grid_size, epochs=args.epochs, lr=args.lr, mode=args.mode, seed=args.seed,
+        grid_size=args.grid_size, epochs=args.epochs, lr=args.lr, seed=args.seed,
     )
     clshead.save_head(args.out, head)
     print(f"final loss {losses[-1]:.4f} -> {args.out}")

@@ -231,12 +231,7 @@ def load_head(path: str | os.PathLike) -> ClassifierHead:
     path = Path(path)
     w = fileio.read_tensor(path, expected_rank=2)
     sidecar = path.with_suffix(path.suffix + ".json")
-    meta = json.loads(sidecar.read_text("ascii"))
-    for key, kinds in _SIDECAR_FIELDS.items():
-        if not isinstance(meta, dict) or key not in meta:
-            raise fileio.FileFormatError(f"{sidecar}: missing required key '{key}'")
-        if type(meta[key]) not in kinds:
-            raise fileio.FileFormatError(f"{sidecar}: '{key}' has the wrong type: {meta[key]!r}")
+    meta = fileio.read_json(sidecar, _SIDECAR_FIELDS)
     if w.shape != (meta["num_classes"] + 1, meta["dim"]):
         raise fileio.FileFormatError(
             f"{path}: weight shape {w.shape} does not match sidecar "

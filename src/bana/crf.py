@@ -89,7 +89,7 @@ def build_unary(
     attention: np.ndarray,
     boxes: BoxSet,
     num_classes: int,
-    tau: float | None = 0.99,
+    tau: float = 0.99,
 ) -> np.ndarray:
     """(L+1, H, W) unary scores in [0, 1] at image resolution.
 
@@ -97,7 +97,7 @@ def build_unary(
     upsampled bilinearly, then zeroed outside the union of class-c boxes
     (membership tested at image resolution). Channel 0 comes from the
     attention map: thresholded at ``tau`` when 0 < tau <= 1 (label mode),
-    or used raw when ``tau`` is None or 0.
+    or used raw when ``tau`` is 0.
     """
     a = np.asarray(attention, dtype=np.float64)
     if a.ndim != 2:
@@ -107,9 +107,9 @@ def build_unary(
     h, w = boxes.image_height, boxes.image_width
     unary = np.zeros((num_classes + 1, h, w), dtype=np.float64)
 
-    if tau is not None and not (0.0 <= tau <= 1.0):
-        raise ValueError(f"tau must be in [0, 1] or None, got {tau}")
-    bg = a if not tau else (a >= tau).astype(np.float64)
+    if not (0.0 <= tau <= 1.0):
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    bg = a if tau == 0.0 else (a >= tau).astype(np.float64)
     unary[0] = bilinear_resize(bg, h, w)
 
     for c, cam_c in cams.items():
@@ -366,29 +366,17 @@ def _lattice_messages(image: np.ndarray, params: CrfParams):
     return messages
 
 
-def _run(psi: np.ndarray, messages, iterations: int, trace: list | None) -> np.ndarray:
-    q = _update(psi, np.zeros_like(psi))  # softmax of negated potentials
-    if trace is not None:
-        trace.append(q.copy())
-    for _ in range(iterations):
-        q = _update(psi, messages(q))
-        if trace is not None:
-            trace.append(q.copy())
-    return q
-
-
 def mean_field(
     unary: np.ndarray,
     image: np.ndarray,
     params: CrfParams,
     method: str = "lattice",
-    trace: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run mean-field inference; returns (label map, final marginals).
 
     ``method`` picks the message engine: "lattice" (permutohedral lattice) or
-    "dense" (full kernel matrix). Passing a list as ``trace`` collects the
-    marginals after initialization and after every iteration.
+    "dense" (full kernel matrix). The marginals start as the softmax of the
+    negated potentials and take ``params.iterations`` deterministic updates.
     """
     u = np.asarray(unary, dtype=np.float64)
     img = np.asarray(image)
@@ -418,6 +406,8 @@ def mean_field(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    q = _run(psi, messages, params.iterations, trace)
+    q = _update(psi, np.zeros_like(psi))  # softmax of negated potentials
+    for _ in range(params.iterations):
+        q = _update(psi, messages(q))
     return q.argmax(axis=0).astype(np.uint8), q
 

@@ -5,7 +5,8 @@
 * label maps: binary PGM (``P5``), maxval 255, one byte per pixel.
 * RGB images: binary PPM (``P6``), maxval 255.
 * boxes: a JSON object ``{"width", "height", "boxes": [{"class", "xmin",
-  "ymin", "xmax", "ymax"}, ...]}``.
+  "ymin", "xmax", "ymax"}, ...]}``. Every JSON input (boxes, configs, head
+  sidecars, corpus manifests) is parsed by :func:`read_json`.
 
 Writers emit canonical bytes so that write -> read -> write round-trips are
 byte-identical; readers report malformed input with the file offset.
@@ -14,6 +15,7 @@ byte-identical; readers report malformed input with the file offset.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -73,13 +75,13 @@ def read_tensor(path: str | os.PathLike, expected_rank: int | None = None) -> np
     dims_end = 8 + 4 * rank
     if len(data) < dims_end:
         raise FileFormatError(f"{path}: truncated header, expected {rank} u32 dims at offset 8")
-    dims = np.frombuffer(data, dtype="<u4", count=rank, offset=8).astype(np.int64)
+    dims = np.frombuffer(data, dtype="<u4", count=rank, offset=8).tolist()  # Python ints: no overflow
     for i, d in enumerate(dims):
         if d < 1:
             raise FileFormatError(f"{path}: dimension {i} is {d} at offset {8 + 4 * i}, must be >= 1")
     if expected_rank is not None and rank != expected_rank:
         raise FileFormatError(f"{path}: rank {rank}, expected {expected_rank}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     expected = count * 4
     actual = len(data) - dims_end
     if actual != expected:
@@ -115,8 +117,8 @@ def _parse_pnm_header(data: bytes, path, magic: bytes) -> tuple[int, int, int]:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         token = data[start:pos]
-        if not token.isdigit():
-            raise FileFormatError(f"{path}: expected integer header field at offset {start}")
+        if not token.isdigit() or len(token) > 9:  # int() refuses over 4300 digits
+            raise FileFormatError(f"{path}: expected integer header field of at most 9 digits at offset {start}")
         fields.append(int(token))
     if pos >= len(data):
         raise FileFormatError(f"{path}: missing whitespace after maxval at offset {pos}")
@@ -188,8 +190,26 @@ def read_image(path: str | os.PathLike) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# boxes JSON
+# JSON
 # ---------------------------------------------------------------------------
+
+
+def read_json(path: str | os.PathLike, required: dict[str, tuple[type, ...]] | None = None) -> dict:
+    """Read an ASCII JSON object; each ``required`` key must be present with a
+    value whose type() is one of its types (so bool, a subclass of int, is not
+    an int)."""
+    try:
+        obj = json.loads(Path(path).read_text("ascii"))
+    except (ValueError, RecursionError) as e:  # ValueError covers JSON and decoding errors
+        raise FileFormatError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{path}: top level must be a JSON object")
+    for key, kinds in (required or {}).items():
+        if key not in obj:
+            raise FileFormatError(f"{path}: missing required key '{key}'")
+        if type(obj[key]) not in kinds:
+            raise FileFormatError(f"{path}: '{key}' has the wrong type: {obj[key]!r}")
+    return obj
 
 
 def write_boxes(path: str | os.PathLike, boxes: BoxSet) -> None:
@@ -205,20 +225,7 @@ def write_boxes(path: str | os.PathLike, boxes: BoxSet) -> None:
 
 
 def read_boxes(path: str | os.PathLike) -> BoxSet:
-    try:
-        obj = json.loads(Path(path).read_text("ascii"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise FileFormatError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise FileFormatError(f"{path}: top level must be a JSON object")
-    for key in ("width", "height", "boxes"):
-        if key not in obj:
-            raise FileFormatError(f"{path}: missing required key '{key}'")
-    # type(), not isinstance(): JSON true/false decode to bool, a subclass of int.
-    if type(obj["width"]) is not int or type(obj["height"]) is not int:
-        raise FileFormatError(f"{path}: width/height must be integers")
-    if not isinstance(obj["boxes"], list):
-        raise FileFormatError(f"{path}: 'boxes' must be a list")
+    obj = read_json(path, {"width": (int,), "height": (int,), "boxes": (list,)})
     parsed = []
     for i, rec in enumerate(obj["boxes"]):
         if not isinstance(rec, dict):

@@ -31,7 +31,6 @@ class SegLossReport:
     loss_agree: float  # mean cross-entropy over the agreement region
     loss_disagree: float  # confidence-weighted cross-entropy over the rest
     total: float  # loss_agree + lam * loss_disagree
-    lam: float
     n_agree: int
     n_disagree: int
     confidence: np.ndarray | None = None  # the sigma map used; None when no pixel disagrees
@@ -105,7 +104,6 @@ def nal_loss_and_grad(
         loss_agree=losses[0],
         loss_disagree=losses[1],
         total=losses[0] + lam * losses[1],
-        lam=lam,
         n_agree=int(fused.agree.sum()),
         n_disagree=int(fused.disagree.sum()),
         confidence=sigma,

@@ -70,8 +70,6 @@ class PipelineConfig:
     head_lr: float = 0.2
     head_lr_drop_epoch: int | None = 40
     head_batch_size: int = 32
-    head_mode: str = "dot"
-    head_scale: float = 15.0
     momentum: float = 0.9
     weight_decay: float = 5e-4
     # pseudo labels (stage 2)
@@ -105,7 +103,7 @@ class PipelineConfig:
             (">= 1", lambda v: v >= 1, ("num_classes", "jobs", "grid_size_train", "head_epochs", "head_batch_size",
                                         "grid_size_label", "gamma", "seg_epochs")),
             (">= 0", lambda v: v >= 0, ("seed", "head_lr_drop_epoch", "weight_decay", "lam", "dump_confidence_every")),
-            ("> 0", lambda v: v > 0, ("head_scale", "seg_scale")),
+            ("> 0", lambda v: v > 0, ("seg_scale",)),
             ("in [0, 1)", lambda v: 0 <= v < 1, ("momentum",)),
             ("in [0, 1]", lambda v: 0 <= v <= 1, ("attn_threshold",)),
         ):
@@ -150,7 +148,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text("ascii")))
+        return cls.from_dict(fileio.read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,10 @@ def resolve_num_classes(num_classes: int | None, meta: Path | None, class_ids: I
     if num_classes is not None:
         return num_classes
     if meta is not None and meta.exists():
-        return int(json.loads(meta.read_text("ascii"))["num_classes"])
+        n = fileio.read_json(meta, {"num_classes": (int,)})["num_classes"]
+        if n < 1:
+            raise fileio.FileFormatError(f"{meta}: num_classes must be >= 1, got {n}")
+        return n
     top = max(class_ids, default=0)
     if top < 1:
         raise PipelineError("cannot infer num_classes: no object class in the annotations; give it explicitly")
@@ -227,7 +228,7 @@ def collect_training_samples(
 
 
 def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes: int, *, grid_size: int,
-               mode: str = "dot", scale: float = 15.0, seed: int = 0, **sgd) -> tuple[ClassifierHead, list[float]]:
+               seed: int = 0, **sgd) -> tuple[ClassifierHead, list[float]]:
     """Stage 1: fit the (L+1)-way head on every image's pooled box features and
     background queries; returns the head and per-epoch losses. ``sgd`` holds
     the other keyword arguments of :func:`~bana.clshead.sgd_train`."""
@@ -240,7 +241,7 @@ def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes:
         ys.append(y)
     x = np.concatenate(xs)
     y = np.concatenate(ys)
-    head = init_head(num_classes, x.shape[1], mode=mode, scale=scale, seed=seed)
+    head = init_head(num_classes, x.shape[1], seed=seed)
     return sgd_train(head, x, y, seed=seed, **sgd)
 
 
@@ -254,9 +255,8 @@ def run_train_head_stage(cfg: PipelineConfig) -> Path:
     ids = stage_ids(corpus / "features", ".btf", "train-head")
     head, _ = train_head(
         corpus / "features", corpus / "boxes", ids, _corpus_num_classes(cfg, corpus, ids),
-        grid_size=cfg.grid_size_train, mode=cfg.head_mode, scale=cfg.head_scale, seed=cfg.seed,
-        epochs=cfg.head_epochs, lr=_head_schedule(cfg), momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, batch_size=cfg.head_batch_size,
+        grid_size=cfg.grid_size_train, seed=cfg.seed, epochs=cfg.head_epochs, lr=_head_schedule(cfg),
+        momentum=cfg.momentum, weight_decay=cfg.weight_decay, batch_size=cfg.head_batch_size,
     )
     head_dir = out / "head"
     head_dir.mkdir(parents=True, exist_ok=True)
@@ -277,7 +277,7 @@ def generate_labels_for_image(
     head: ClassifierHead,
     *,
     grid_size: int = 1,
-    tau: float | None = 0.99,
+    tau: float = 0.99,
     crf_params: CrfParams,
 ) -> tuple[FusedLabels, np.ndarray, list[float]]:
     """Full label generation for one image.
@@ -574,6 +574,8 @@ def noise_robustness_experiment(
     # plain: the same noisy CRF labels, but treated as fully trusted everywhere.
     plain = [(f, fuse_labels(fl.y_crf, fl.y_crf)) for f, fl in noisy]
     runs = {"nal": (noisy, cfg.lam), "ignore": (noisy, 0.0), "plain": (plain, 0.0)}
+    if not runs.keys() >= set(variants):
+        raise ValueError(f"unknown variants {sorted(set(variants) - runs.keys())}; valid variants are {list(runs)}")
     gts = [fileio.read_label_map(corpus / "gt" / f"{image_id}.pgm", num_classes) for image_id in ids]
     result = {"disputed_class": disputed_class, "noise_frac": noise_frac}
     for name, (train_samples, lam) in runs.items():

@@ -158,10 +158,3 @@ def synth_corpus(
     }
     fileio.write_text(out / "meta.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
-
-
-def load_manifest(corpus_dir: str | Path) -> dict:
-    path = Path(corpus_dir) / "meta.json"
-    if not path.exists():
-        raise FileNotFoundError(f"no corpus manifest at {path}")
-    return json.loads(path.read_text("ascii"))

@@ -1,22 +1,37 @@
-"""The package functions that the benchmark's tracer wraps still exist.
+"""The package names that the benchmark binds to still exist.
 
-``bench/spans.py`` names them by module and attribute in ``TARGETS``. A
-refactor that renames or removes one would otherwise show only in the slow
-benchmark tests (``python3 -m pytest -q bench/tests``). The table is read,
-never changed.
+``bench/spans.py`` names the functions its tracer wraps in ``TARGETS``, and
+``bench/run.py`` builds a ``PipelineConfig`` per workload and calls stage
+functions by name. A refactor that renames or removes one would otherwise
+show only in the slow benchmark tests (``python3 -m pytest -q bench/tests``).
+The bench files are read, never changed.
 """
 
 import importlib
 import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from bana import pipeline
+from bana.synth import synth_corpus
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_every_traced_function_resolves():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+def _load(monkeypatch, name: str, filename: str):
+    # run.py imports its siblings as top-level modules, and its dataclasses
+    # look their module up in sys.modules while the class is built.
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    spans = _load(monkeypatch, "bench_spans", "spans.py")
     missing = [
         f"{modname}.{fname}"
         for modname, funcs in spans.TARGETS.items()
@@ -24,3 +39,14 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(modname), fname, None))
     ]
     assert spans.TARGETS and not missing
+
+
+def test_bench_run_bindings_resolve(monkeypatch, tmp_path):
+    run = _load(monkeypatch, "bench_run", "run.py")
+    for wl in run.WORKLOADS.values():
+        cfg = run.pipeline_config(wl, tmp_path / "corpus", tmp_path / "out", 1)
+        assert cfg.jobs == wl.jobs and cfg.seed == 1, wl.name
+        inspect.signature(synth_corpus).bind(str(tmp_path), **run.synth_kwargs(1, wl.images))
+    names = [fn for _, fn in run.STAGES] + ["_labels_worker", "mean_field"]
+    missing = [name for name in names if not callable(getattr(pipeline, name, None))]
+    assert run.STAGES and not missing

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -350,6 +351,21 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert main(["synth", "--nope"]) == 1
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synth", "--images", "0"), ("synth", "--size", "0"), ("synth", "--size", "-4"), ("synth", "--classes", "0"),
+        ("train-head", "--classes", "0"), ("nal-train", "--classes", "0"), ("eval", "--classes", "0"),
+    ])
+    def test_counts_must_be_positive(self, tmp_path, capsys, command, flag, value):
+        required = {
+            "synth": ["--out", str(tmp_path / "c")],
+            "train-head": ["--features-dir", "f", "--boxes-dir", "b", "--out", "h.btf"],
+            "nal-train": ["--features-dir", "f", "--labels-crf-dir", "c", "--labels-ret-dir", "r", "--out-head", "s.btf"],
+            "eval": ["--pred-dir", "p", "--ref-dir", "r"],
+        }
+        assert main([command, *required[command], flag, value]) == 1
+        assert f"usage error: argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 
@@ -358,3 +374,61 @@ class TestExitCodes:
             ["eval", "--pred-dir", str(tmp_path / "void"), "--ref-dir", str(tmp_path), "--classes", "1"]
         )
         assert rc == 1
+
+
+class TestMalformedJsonInputs:
+    """Every JSON input, however malformed, is an input error naming its file."""
+
+    DEEP = "[" * 100_000  # the JSON parser raises RecursionError on it
+
+    def _labels(self, corpus, tmp_path, boxes, head):
+        return main([
+            "labels",
+            "--features", str(corpus / "features" / "0000.btf"),
+            "--boxes", str(boxes),
+            "--image", str(corpus / "images" / "0000.ppm"),
+            "--head", str(head),
+            "--out-crf", str(tmp_path / "crf.pgm"),
+            "--out-ret", str(tmp_path / "ret.pgm"),
+            "--out-fused", str(tmp_path / "fused.pgm"),
+        ])
+
+    def _input_error(self, capsys, rc, path):
+        assert rc == 1
+        assert f"input error: {path}: " in capsys.readouterr().err
+
+    def test_deep_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(self.DEEP)
+        self._input_error(capsys, main(["run", "--config", str(path)]), path)
+
+    def test_deep_boxes(self, corpus, trained_head, tmp_path, capsys):
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(self.DEEP)
+        self._input_error(capsys, self._labels(corpus, tmp_path, boxes, trained_head), boxes)
+
+    def test_deep_head_sidecar(self, corpus, trained_head, tmp_path, capsys):
+        head = tmp_path / "head.btf"
+        head.write_bytes(trained_head.read_bytes())
+        sidecar = head.with_suffix(".btf.json")
+        sidecar.write_text(self.DEEP)
+        self._input_error(capsys, self._labels(corpus, tmp_path, corpus / "boxes" / "0000.json", head), sidecar)
+
+    @pytest.mark.parametrize("text", [DEEP, "{}", "[]", '{"num_classes": "3"}', '{"num_classes": true}',
+                                      '{"num_classes": 0}'], ids=["deep", "empty", "list", "str", "bool", "zero"])
+    def test_bad_corpus_meta(self, corpus, tmp_path, capsys, text):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        meta = copy / "meta.json"
+        meta.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(PipelineConfig(corpus_dir=str(copy), out_dir=str(tmp_path / "out"), stages=["train-head"]).to_json())
+        self._input_error(capsys, main(["run", "--config", str(cfg)]), meta)
+        assert not (tmp_path / "out" / "head").exists()
+
+    def test_btf_whose_dims_wrap(self, tmp_path, capsys):
+        unary = tmp_path / "u.btf"
+        unary.write_bytes(b"BTF1" + np.asarray([3, 2**22, 2**21, 2**21], dtype="<u4").tobytes())
+        fileio.write_image(tmp_path / "i.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        rc = main(["crf", "--unary", str(unary), "--image", str(tmp_path / "i.ppm"), "--out", str(tmp_path / "y.pgm")])
+        self._input_error(capsys, rc, unary)

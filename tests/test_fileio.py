@@ -1,13 +1,18 @@
 """File formats: round trips are byte-exact, malformed input names the offset."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bana.core import BBox, BoxSet
 from bana.fileio import (
     FileFormatError,
     read_boxes,
     read_image,
+    read_json,
     read_label_map,
     read_tensor,
     write_boxes,
@@ -51,6 +56,14 @@ class TestTensor:
         with pytest.raises(FileFormatError, match="dimension 0"):
             read_tensor(path)
 
+    def test_dims_whose_product_wraps_are_counted_exactly(self, tmp_path):
+        # 2**22 * 2**21 * 2**21 = 2**64 elements: an int64 product wraps to 0,
+        # which the empty payload of this 20-byte file would match.
+        path = tmp_path / "t.btf"
+        path.write_bytes(b"BTF1" + np.asarray([3, 2**22, 2**21, 2**21], dtype="<u4").tobytes())
+        with pytest.raises(FileFormatError, match=f"expected {2**66} payload bytes at offset 20, found 0"):
+            read_tensor(path)
+
     def test_rank_mismatch(self, tmp_path):
         path = tmp_path / "t.btf"
         write_tensor(path, np.ones((4,), dtype=np.float32))
@@ -89,6 +102,13 @@ class TestLabelMap:
         path = tmp_path / "y.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
         with pytest.raises(FileFormatError, match="maxval"):
+            read_label_map(path)
+
+    def test_overlong_header_field(self, tmp_path):
+        # int() refuses a string of more than 4300 digits with a bare ValueError.
+        path = tmp_path / "y.pgm"
+        path.write_bytes(b"P5\n" + b"1" * 5000 + b" 4\n255\n")
+        with pytest.raises(FileFormatError, match="at most 9 digits at offset 3"):
             read_label_map(path)
 
     def test_rejects_float_labels(self, tmp_path):
@@ -137,7 +157,7 @@ class TestBoxes:
              "boxes\\[0\\] fields must be integers"),
             ('{"width": 4, "height": 4, "boxes": [{"class": 1, "xmin": 0, "ymin": 0, "xmax": 2, "ymax": true}]}',
              "boxes\\[0\\] fields must be integers"),
-            ('{"width": true, "height": 4, "boxes": []}', "width/height must be integers"),
+            ('{"width": true, "height": 4, "boxes": []}', "'width' has the wrong type"),
         ],
         ids=["float", "bool-class-xmin", "bool-ymax", "bool-width"],
     )
@@ -152,3 +172,116 @@ class TestBoxes:
         path.write_text("{nope")
         with pytest.raises(FileFormatError, match="invalid JSON"):
             read_boxes(path)
+
+
+class TestJson:
+    REQUIRED = {"k": (int,), "s": (str, type(None))}
+
+    def test_returns_the_object_with_every_key(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"k": 3, "s": null, "extra": [1]}')
+        assert read_json(path, self.REQUIRED) == {"k": 3, "s": None, "extra": [1]}
+        assert read_json(path) == {"k": 3, "s": None, "extra": [1]}
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"{nope", "invalid JSON"),
+            (b"[" * 100_000, "invalid JSON: maximum recursion depth"),
+            ('{"k": "\u00e9"}'.encode("utf-8"), "invalid JSON: .*ascii"),
+            (b"1" * 5000, "invalid JSON"),
+            (b"[]", "top level must be a JSON object"),
+            (b"null", "top level must be a JSON object"),
+            (b'{"s": ""}', "missing required key 'k'"),
+            (b'{"k": true, "s": ""}', "'k' has the wrong type: True"),
+            (b'{"k": 1.0, "s": ""}', "'k' has the wrong type: 1.0"),
+            (b'{"k": 1, "s": 2}', "'s' has the wrong type: 2"),
+        ],
+        ids=["syntax", "deep", "non-ascii", "too-many-digits", "list", "null", "missing", "bool", "float", "int-for-str"],
+    )
+    def test_malformed_input_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "x.json"
+        path.write_bytes(data)
+        with pytest.raises(FileFormatError, match=f"^{path}: {message}"):
+            read_json(path, self.REQUIRED)
+
+
+# ---------------------------------------------------------------------------
+# property tests: every reader returns or raises FileFormatError, nothing else
+# ---------------------------------------------------------------------------
+
+_READERS = {
+    "tensor": read_tensor,
+    "label_map": lambda path: read_label_map(path, 3),
+    "image": read_image,
+    "boxes": read_boxes,
+    "json": lambda path: read_json(path, {"width": (int,), "boxes": (list,)}),
+}
+# Starts of valid files, so that arbitrary bytes after them reach past the magic.
+_PREFIXES = {
+    "tensor": [b"", b"BTF1", b"BTF1\x02\x00\x00\x00", b"BTF1\x01\x00\x00\x00\x02\x00\x00\x00"],
+    "label_map": [b"", b"P5\n", b"P5\n2 2\n", b"P5\n2 2\n255\n"],
+    "image": [b"", b"P6\n", b"P6 1 1", b"P6\n1 1\n255\n"],
+    "boxes": [b"", b"{", b'{"width": 4, "height": 4, "boxes": [', b'{"width": 4, "height": 4, "boxes": [{"class": 1, '],
+    "json": [b"", b"{", b"[" * 2000, b'{"width": '],
+}
+_KEYS = ["width", "height", "boxes", "class", "xmin", "ymin", "xmax", "ymax"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=6),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+def _reads(name: str, data: bytes, directory) -> bool:
+    """True when the reader accepts ``data``, False when it raises FileFormatError."""
+    path = directory / f"{name}.bin"
+    path.write_bytes(data)
+    try:
+        _READERS[name](path)
+    except FileFormatError:
+        return False
+    return True
+
+
+def _valid_file(name: str, seed: int, directory) -> bytes:
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(1, 5, size=2))
+    path = directory / "valid"
+    if name == "tensor":
+        write_tensor(path, rng.normal(size=(2, h, w)).astype(np.float32))
+    elif name == "label_map":
+        write_label_map(path, rng.choice([0, 1, 2, 3, 255], size=(h, w)).astype(np.uint8))
+    elif name == "image":
+        write_image(path, rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8))
+    else:  # boxes and json read the same file
+        write_boxes(path, BoxSet(8, 8, [BBox(int(rng.integers(1, 4)), 0, 0, w, h)] * int(rng.integers(0, 3))))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@settings(max_examples=150, deadline=None)
+@given(prefix=st.integers(0, 3), tail=st.binary(max_size=48))
+def test_arbitrary_bytes_read_or_raise_file_format_error(scratch, name, prefix, tail):
+    _reads(name, _PREFIXES[name][prefix] + tail, scratch)
+
+
+@pytest.mark.parametrize("name", ["boxes", "json"])
+@settings(max_examples=150, deadline=None)
+@given(value=_JSON_VALUES)
+def test_arbitrary_json_read_or_raise_file_format_error(scratch, name, value):
+    _reads(name, json.dumps(value).encode("ascii"), scratch)
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_valid_file_read_or_raise_file_format_error(scratch, name, seed, cut):
+    data = _valid_file(name, seed, scratch)
+    assert _reads(name, data, scratch)
+    _reads(name, data[: int(cut * len(data))], scratch)

@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bana import fileio
+from bana import fileio, nal
 from bana.pipeline import (
     PipelineConfig,
     PipelineError,
     collect_training_samples,
     inject_disagreement_noise,
+    noise_robustness_experiment,
     run_pipeline,
 )
 from bana.pseudolabel import fuse_labels
@@ -68,7 +69,7 @@ class TestConfig:
             ("crf_theta_alpha", False),
             ("seed", None),
             ("crf_w1", None),
-            ("head_mode", 1),
+            ("out_dir", 1),
             ("dump_attention", 1),
             ("stages", "labels"),
             ("stages", ["labels", 2]),
@@ -110,7 +111,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("num_classes", 0), ("seed", -1), ("jobs", 0), ("grid_size_train", 0), ("grid_size_label", 0),
         ("head_epochs", 0), ("seg_epochs", 0), ("head_lr", 0.0), ("seg_lr", -1.0), ("head_lr_drop_epoch", -3),
-        ("head_batch_size", 0), ("head_scale", 0.0), ("seg_scale", 0.0), ("momentum", 1.5), ("momentum", 1.0),
+        ("head_batch_size", 0), ("seg_scale", 0.0), ("momentum", 1.5), ("momentum", 1.0),
         ("momentum", -0.1), ("weight_decay", -1e-4), ("attn_threshold", 1.5), ("gamma", 0.5), ("lam", -0.1),
         ("dump_confidence_every", -1),
     ])
@@ -282,3 +283,14 @@ class TestNoiseInjection:
         assert corrupted == round(0.2 * moved)
         # corrupted pixels stay inside the disagreement region
         assert np.all(noisy.y_crf[noisy.disagree] != noisy.y_ret[noisy.disagree])
+
+    def test_unknown_variant_rejected_before_training(self, mini_corpus, tmp_path, monkeypatch):
+        cfg = _cfg(mini_corpus, tmp_path / "out", stages=["train-head", "labels"])
+        run_pipeline(cfg)
+
+        def train_seg_head(*args, **kwargs):
+            raise AssertionError("trained before checking the variants")
+
+        monkeypatch.setattr(nal, "train_seg_head", train_seg_head)
+        with pytest.raises(ValueError, match=r"unknown variants \['nall'\]; valid variants are \['nal', 'ignore', 'plain'\]"):
+            noise_robustness_experiment(cfg, variants=("nal", "nall"))

@@ -1,10 +1,12 @@
 """Synthetic corpus: determinism, geometry guarantees, feature separation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from bana import fileio
-from bana.synth import load_manifest, synth_corpus
+from bana.synth import synth_corpus
 
 
 @pytest.fixture(scope="module")
@@ -100,4 +102,4 @@ class TestGuards:
 
     def test_manifest_round_trip(self, corpus):
         out, manifest = corpus
-        assert load_manifest(out) == manifest
+        assert json.loads((out / "meta.json").read_text("ascii")) == manifest
