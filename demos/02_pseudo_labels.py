@@ -42,7 +42,7 @@ for p in sorted((corpus / "features").glob("*.btf")):
     xs.append(x)
     ys.append(y)
 head, losses = sgd_train(
-    init_head(3, 8, mode="dot", seed=0),
+    init_head(3, 8, seed=0),
     np.concatenate(xs),
     np.concatenate(ys),
     epochs=40,

@@ -53,7 +53,10 @@ def _add_crf_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -247,7 +250,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, fileio.FileFormatError, pipeline.PipelineError, ValueError) as e:
+    except (OSError, fileio.FileFormatError, pipeline.PipelineError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # anything else is a bug, not a user mistake

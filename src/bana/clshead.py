@@ -22,6 +22,12 @@ from .core import as_feature_map, unit_norm
 from . import fileio
 
 MODES = ("dot", "cosine")
+# SGD settings of both heads.
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
+# Samples per step of the classification head (the segmentation head steps
+# once per image).
+BATCH_SIZE = 32
 
 
 @dataclass
@@ -51,12 +57,10 @@ class ClassifierHead:
         return self.weights.shape[1]
 
 
-def init_head(num_classes: int, dim: int, *, mode: str = "dot", scale: float = 15.0,
-              seed: int = 0, init_std: float = 1e-2) -> ClassifierHead:
-    """Gaussian init (zero mean, small std) of an (L+1, C) head."""
+def init_head(num_classes: int, dim: int, *, seed: int = 0) -> ClassifierHead:
+    """Gaussian init (zero mean, std 1e-2) of an (L+1, C) dot-product head."""
     rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, init_std, size=(num_classes + 1, dim))
-    return ClassifierHead(weights=w, mode=mode, scale=scale)
+    return ClassifierHead(weights=rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)))
 
 
 def logits(head: ClassifierHead, x: np.ndarray) -> np.ndarray:
@@ -155,12 +159,10 @@ def sgd_train(
     *,
     epochs: int,
     lr: float | list[float],
-    momentum: float = 0.9,
-    weight_decay: float = 5e-4,
-    batch_size: int = 32,
     seed: int = 0,
 ) -> tuple[ClassifierHead, list[float]]:
-    """Minibatch SGD with momentum and L2 weight decay.
+    """Minibatch SGD with momentum and L2 weight decay, in batches of
+    ``BATCH_SIZE`` samples.
 
     ``lr`` may be a scalar or a per-epoch schedule. The input head is left
     untouched; a trained copy and the per-epoch mean losses are returned.
@@ -178,11 +180,11 @@ def sgd_train(
         order = rng.permutation(n)
         epoch_loss = 0.0
         cur = replace(head, weights=w)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             loss, grad = ce_loss_and_grad(cur, x[idx], t[idx])
             epoch_loss += loss * len(idx)
-            velocity = momentum * velocity - schedule[epoch] * (grad + weight_decay * w)
+            velocity = MOMENTUM * velocity - schedule[epoch] * (grad + WEIGHT_DECAY * w)
             w = w + velocity
             cur = replace(head, weights=w)
         losses.append(epoch_loss / n)

@@ -54,6 +54,9 @@ _MAX_FEATURE_STEP = 8.0
 # with theta_gamma = 3 at 256^2 and 512^2, blocks of 32 or 64 rows took a
 # tenth of the dense product's time and blocks of 128 four times as long as 64.
 _SPATIAL_BLOCK = 64
+# Unary scores are floored here before the negative log, so that a zero score
+# still costs a finite energy.
+_UNARY_FLOOR = 1e-5
 
 
 @dataclass
@@ -66,7 +69,6 @@ class CrfParams:
     theta_beta: float = 5.0
     theta_gamma: float = 3.0
     iterations: int = 10
-    unary_floor: float = 1e-5
 
     def __post_init__(self) -> None:
         # Each message starts with the field name: PipelineConfig prefixes "crf_".
@@ -80,8 +82,6 @@ class CrfParams:
                 raise ValueError(f"{name} must be > 0")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if not (0.0 < self.unary_floor < 1.0):
-            raise ValueError("unary_floor must lie in (0, 1)")
 
 
 def build_unary(
@@ -129,9 +129,9 @@ def build_unary(
     return unary
 
 
-def _unary_potentials(unary: np.ndarray, floor: float) -> np.ndarray:
+def _unary_potentials(unary: np.ndarray) -> np.ndarray:
     # Scores -> energies: floor, normalize per pixel, negative log.
-    scores = np.maximum(unary, floor)
+    scores = np.maximum(unary, _UNARY_FLOOR)
     return -np.log(scores / scores.sum(axis=0, keepdims=True))
 
 
@@ -389,7 +389,7 @@ def mean_field(
     if u.min() < 0.0 or u.max() > 1.0:
         raise ValueError("unary scores must lie in [0, 1]")
     nl, h, w = u.shape
-    psi = _unary_potentials(u, params.unary_floor)
+    psi = _unary_potentials(u)
 
     if method == "lattice":
         messages = _lattice_messages(img, params)

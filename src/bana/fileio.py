@@ -35,8 +35,12 @@ def _atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     # Write-then-rename keeps partially written files out of the pipeline.
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:

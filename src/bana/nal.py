@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clshead import ClassifierHead, logits, lr_schedule, softmax, weighted_ce_loss_and_grad
+from .clshead import MOMENTUM, WEIGHT_DECAY, ClassifierHead, logits, lr_schedule, softmax, weighted_ce_loss_and_grad
 from .core import IGNORE, as_feature_map, bilinear_resize, unit_norm, validate_label_map
 from .pseudolabel import FusedLabels
 
@@ -119,19 +119,17 @@ def train_seg_head(
     lam: float = 0.1,
     epochs: int = 30,
     lr: float | list[float] = 0.1,
-    momentum: float = 0.9,
-    weight_decay: float = 5e-4,
     seed: int = 0,
-    scale: float = 15.0,
     confidence_hook=None,
 ) -> tuple[ClassifierHead, list[float]]:
     """SGD over (features, fused labels) images with the noise-aware loss.
 
-    The head scores by scaled cosine similarity, so its weights act as class
-    centers in feature space. Cosine gradients are orthogonal to the weight
-    rows and only ever inflate their norms, which starves the effective step
-    size; the rows are therefore projected back onto the unit sphere after
-    every update (weight decay is immaterial then).
+    The head scores by cosine similarity at ClassifierHead's default scale
+    of 15, so its weights act as class centers in feature space. Cosine
+    gradients are orthogonal to the weight rows and only ever inflate their
+    norms, which starves the effective step size; the rows are therefore
+    projected back onto the unit sphere after every update (weight decay is
+    immaterial then).
     Confidence weights are recomputed from the current weights at every
     step. ``confidence_hook(epoch, index, sigma)``, when given, receives the
     confidence map of each image with disputed pixels once per epoch.
@@ -146,7 +144,7 @@ def train_seg_head(
     dim = as_feature_map(samples[0][0]).shape[0]
     rng = np.random.default_rng(seed)
     w = unit_norm(rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)), axis=1)
-    head = ClassifierHead(weights=w, mode="cosine", scale=scale)
+    head = ClassifierHead(weights=w, mode="cosine")
     velocity = np.zeros_like(head.weights)
     schedule = lr_schedule(lr, epochs)
 
@@ -161,7 +159,7 @@ def train_seg_head(
             if confidence_hook is not None and report.confidence is not None:
                 confidence_hook(epoch, int(i), report.confidence)
             epoch_loss += report.total
-            velocity = momentum * velocity - schedule[epoch] * (grad + weight_decay * head.weights)
+            velocity = MOMENTUM * velocity - schedule[epoch] * (grad + WEIGHT_DECAY * head.weights)
             head = replace(head, weights=unit_norm(head.weights + velocity, axis=1))
         losses.append(epoch_loss / n)
     return head, losses

@@ -38,6 +38,8 @@ from .crf import CrfParams, build_unary, mean_field
 from .pseudolabel import FusedLabels, extract_prototypes, filling_rate, fuse_labels, retrieval_labels
 
 STAGES = ("train-head", "labels", "nal-train", "eval")
+# The stage-1 head's learning rate drops tenfold from this epoch on.
+HEAD_LR_DROP_EPOCH = 40
 
 
 # The JSON types each config field's annotation accepts, compared by type() so
@@ -51,7 +53,8 @@ class PipelineError(ValueError):
 
 @dataclass
 class PipelineConfig:
-    """Paths, stage toggles, and every numeric knob of the pipeline.
+    """Paths, stage toggles, and every numeric setting a run may vary; the
+    fixed ones are module constants (``HEAD_LR_DROP_EPOCH``, ``clshead.MOMENTUM``, ...).
 
     The CRF defaults here are sized for small synthetic corpora; the
     stand-alone ``bana crf`` command keeps the conventional full-image
@@ -68,10 +71,6 @@ class PipelineConfig:
     grid_size_train: int = 4
     head_epochs: int = 60
     head_lr: float = 0.2
-    head_lr_drop_epoch: int | None = 40
-    head_batch_size: int = 32
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     # pseudo labels (stage 2)
     grid_size_label: int = 1
     attn_threshold: float = 0.99
@@ -81,14 +80,12 @@ class PipelineConfig:
     crf_theta_beta: float = 12.0
     crf_theta_gamma: float = 3.0
     crf_iterations: int = 5
-    crf_unary_floor: float = 1e-5
     dump_attention: bool = False
     # noise-aware training (stage 3)
     gamma: float = 7.0
     lam: float = 0.1
     seg_epochs: int = 30
     seg_lr: float = 0.05
-    seg_scale: float = 15.0
     dump_confidence_every: int = 0
 
     def __post_init__(self) -> None:
@@ -100,16 +97,14 @@ class PipelineConfig:
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for rule, ok, keys in (
-            (">= 1", lambda v: v >= 1, ("num_classes", "jobs", "grid_size_train", "head_epochs", "head_batch_size",
-                                        "grid_size_label", "gamma", "seg_epochs")),
-            (">= 0", lambda v: v >= 0, ("seed", "head_lr_drop_epoch", "weight_decay", "lam", "dump_confidence_every")),
-            ("> 0", lambda v: v > 0, ("seg_scale",)),
-            ("in [0, 1)", lambda v: 0 <= v < 1, ("momentum",)),
+            (">= 1", lambda v: v >= 1, ("num_classes", "jobs", "grid_size_train", "head_epochs", "grid_size_label",
+                                        "gamma", "seg_epochs")),
+            (">= 0", lambda v: v >= 0, ("seed", "lam", "dump_confidence_every")),
             ("in [0, 1]", lambda v: 0 <= v <= 1, ("attn_threshold",)),
         ):
             for key in keys:
                 value = getattr(self, key)
-                if value is not None and not ok(value):  # None: num_classes or head_lr_drop_epoch unset
+                if value is not None and not ok(value):  # None: num_classes unset
                     raise ValueError(f"{key} must be {rule}, got {value!r}")
         # CrfParams and lr_schedule check the rest; their messages start with
         # the field name, which the prefix turns into the config key.
@@ -228,10 +223,10 @@ def collect_training_samples(
 
 
 def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes: int, *, grid_size: int,
-               seed: int = 0, **sgd) -> tuple[ClassifierHead, list[float]]:
+               epochs: int, lr: float, seed: int) -> tuple[ClassifierHead, list[float]]:
     """Stage 1: fit the (L+1)-way head on every image's pooled box features and
-    background queries; returns the head and per-epoch losses. ``sgd`` holds
-    the other keyword arguments of :func:`~bana.clshead.sgd_train`."""
+    background queries for ``epochs`` epochs at rate ``lr``, a tenth of it from
+    epoch ``HEAD_LR_DROP_EPOCH`` on; returns the head and per-epoch losses."""
     xs, ys = [], []
     for image_id in ids:
         f = fileio.read_tensor(features_dir / f"{image_id}.btf", expected_rank=3)
@@ -242,12 +237,8 @@ def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes:
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     head = init_head(num_classes, x.shape[1], seed=seed)
-    return sgd_train(head, x, y, seed=seed, **sgd)
-
-
-def _head_schedule(cfg: PipelineConfig) -> list[float]:
-    drop = cfg.head_epochs if cfg.head_lr_drop_epoch is None else cfg.head_lr_drop_epoch
-    return [cfg.head_lr if e < drop else cfg.head_lr / 10.0 for e in range(cfg.head_epochs)]
+    schedule = [lr if e < HEAD_LR_DROP_EPOCH else lr / 10.0 for e in range(epochs)]
+    return sgd_train(head, x, y, epochs=epochs, lr=schedule, seed=seed)
 
 
 def run_train_head_stage(cfg: PipelineConfig) -> Path:
@@ -255,8 +246,7 @@ def run_train_head_stage(cfg: PipelineConfig) -> Path:
     ids = stage_ids(corpus / "features", ".btf", "train-head")
     head, _ = train_head(
         corpus / "features", corpus / "boxes", ids, _corpus_num_classes(cfg, corpus, ids),
-        grid_size=cfg.grid_size_train, seed=cfg.seed, epochs=cfg.head_epochs, lr=_head_schedule(cfg),
-        momentum=cfg.momentum, weight_decay=cfg.weight_decay, batch_size=cfg.head_batch_size,
+        grid_size=cfg.grid_size_train, epochs=cfg.head_epochs, lr=cfg.head_lr, seed=cfg.seed,
     )
     head_dir = out / "head"
     head_dir.mkdir(parents=True, exist_ok=True)
@@ -396,8 +386,7 @@ def nal_train(features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], 
 
 
 def _seg_settings(cfg: PipelineConfig) -> dict:
-    return dict(gamma=cfg.gamma, lam=cfg.lam, epochs=cfg.seg_epochs, lr=cfg.seg_lr, momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay, seed=cfg.seed, scale=cfg.seg_scale)
+    return dict(gamma=cfg.gamma, lam=cfg.lam, epochs=cfg.seg_epochs, lr=cfg.seg_lr, seed=cfg.seed)
 
 
 def write_loss_csv(path: str | Path, losses: list[float]) -> None:

@@ -104,7 +104,6 @@ def synth_corpus(
     feat_stride: int = 4,
     feat_dim: int = 8,
     feature_noise: float = 0.22,
-    max_shapes: int = 3,
 ) -> dict:
     """Write a corpus under ``out_dir`` and return its manifest.
 
@@ -132,7 +131,7 @@ def synth_corpus(
         ids.append(image_id)
 
         gt = np.zeros((size, size), dtype=np.uint8)
-        n_shapes = int(rng.integers(1, max_shapes + 1))
+        n_shapes = int(rng.integers(1, 4))  # one to three of the four slots
         order = rng.permutation(len(slots))[:n_shapes]
         boxes = []
         for slot_idx in order:

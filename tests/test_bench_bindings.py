@@ -11,9 +11,11 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from bana import pipeline
+from bana.crf import CrfParams
 from bana.synth import synth_corpus
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -50,3 +52,9 @@ def test_bench_run_bindings_resolve(monkeypatch, tmp_path):
     names = [fn for _, fn in run.STAGES] + ["_labels_worker", "mean_field"]
     missing = [name for name in names if not callable(getattr(pipeline, name, None))]
     assert run.STAGES and not missing
+
+
+def test_paper_crf_holds_every_crf_params_default(monkeypatch):
+    # run.py documents PAPER_CRF as the defaults of CrfParams, under config keys.
+    run = _load(monkeypatch, "bench_run", "run.py")
+    assert run.PAPER_CRF == {f"crf_{f.name}": getattr(CrfParams(), f.name) for f in fields(CrfParams)}

@@ -185,7 +185,7 @@ class TestRunAndEval:
             bad_path.write_text(json.dumps({**json.loads(cfg.to_json()), **bad}))
             assert main(["run", "--config", str(bad_path)]) == 1
         # an out-of-range value is reported under its config key, before any stage runs
-        for key, value in (("crf_theta_alpha", 0), ("head_batch_size", 0), ("seg_scale", 0)):
+        for key, value in (("crf_theta_alpha", 0), ("head_epochs", 0), ("seg_lr", 0)):
             bad_path.write_text(json.dumps({**json.loads(cfg.to_json()), key: value, "out_dir": str(tmp_path / key)}))
             capsys.readouterr()
             assert main(["run", "--config", str(bad_path)]) == 1
@@ -208,9 +208,9 @@ class TestRunAndEval:
 
     def test_subcommands_match_pipeline_stages(self, corpus, tmp_path):
         out = tmp_path / "out"
+        # 45 head epochs on both sides, so the rate drop at epoch 40 is compared too.
         run_pipeline(PipelineConfig(
-            corpus_dir=str(corpus), out_dir=str(out), head_epochs=25, head_lr_drop_epoch=None, seg_epochs=10,
-            dump_attention=True,
+            corpus_dir=str(corpus), out_dir=str(out), head_epochs=45, seg_epochs=10, dump_attention=True,
         ))
         rc = main(
             [
@@ -218,7 +218,7 @@ class TestRunAndEval:
                 "--features-dir", str(corpus / "features"),
                 "--boxes-dir", str(corpus / "boxes"),
                 "--out", str(tmp_path / "head.btf"),
-                "--grid-size", "4", "--epochs", "25", "--lr", "0.2", "--seed", "0",
+                "--grid-size", "4", "--epochs", "45", "--lr", "0.2", "--seed", "0",
             ]
         )
         assert rc == 0
@@ -365,6 +365,33 @@ class TestExitCodes:
         assert main([command, *required[command], flag, value]) == 1
         assert f"usage error: argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    def test_non_integer_count_reads_like_an_int_flag(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "c"), "--images", "abc"]) == 1
+        assert "usage error: argument --images: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--boxes", "--out-crf"])
+    def test_directory_path_is_input_error(self, corpus, trained_head, tmp_path, capsys, flag):
+        d = tmp_path / "d.json"
+        d.mkdir()
+        if flag == "--config":
+            argv = ["run", "--config", str(d)]
+        else:
+            paths = {"--boxes": corpus / "boxes" / "0000.json", "--out-crf": tmp_path / "crf.pgm", flag: d}
+            argv = [
+                "labels",
+                "--features", str(corpus / "features" / "0000.btf"),
+                "--boxes", str(paths["--boxes"]),
+                "--image", str(corpus / "images" / "0000.ppm"),
+                "--head", str(trained_head),
+                "--out-crf", str(paths["--out-crf"]),
+                "--out-ret", str(tmp_path / "ret.pgm"),
+                "--out-fused", str(tmp_path / "fused.pgm"),
+            ]
+        assert main(argv) == 1
+        assert "input error: " in capsys.readouterr().err
+        assert d.is_dir() and list(tmp_path.glob("*.tmp")) == []
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1

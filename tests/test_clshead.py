@@ -117,7 +117,7 @@ class TestSgdTrain:
     def test_separable_clusters_reach_95_percent(self):
         rng = np.random.default_rng(3)
         x, y = self._clusters(rng)
-        head = init_head(2, 3, mode="dot", seed=0)
+        head = init_head(2, 3, seed=0)
         trained, losses = sgd_train(head, x, y, epochs=40, lr=0.5, seed=0)
         assert losses[-1] < losses[0]
         assert accuracy(trained, x, y) >= 0.95
@@ -149,7 +149,7 @@ class TestSgdTrain:
             lr_schedule(lr, 2)
 
     def test_gaussian_init_statistics(self):
-        head = init_head(40, 400, seed=0, init_std=1e-2)
+        head = init_head(40, 400, seed=0)
         assert abs(head.weights.mean()) < 1e-3
         assert head.weights.std() == pytest.approx(1e-2, rel=0.05)
 

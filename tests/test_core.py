@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bana.core import (
     BBox,
@@ -146,3 +148,61 @@ class TestResizeMaps:
         out = nearest_resize(y, 2, 2)
         # 2x blocks, center convention picks the lower-right of each 2x2 block
         assert out.tolist() == [[5, 7], [13, 15]]
+
+
+# ---------------------------------------------------------------------------
+# property tests: BoxSet and resize_boxes invariants on arbitrary boxes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _image_and_boxes(draw):
+    """An image size and boxes whose min corner lies inside the image; the max
+    corner may overhang by up to the image size."""
+    w, h = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        x1, y1 = draw(st.integers(x0 + 1, 2 * w)), draw(st.integers(y0 + 1, 2 * h))
+        boxes.append(BBox(draw(st.integers(1, 20)), x0, y0, x1, y1))
+    return w, h, boxes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_image_and_boxes())
+def test_clamped_boxes_lie_inside_the_image(case):
+    w, h, raw = case
+    bs = BoxSet(w, h, raw)
+    assert [b.class_id for b in bs.boxes] == [b.class_id for b in raw]
+    for b, r in zip(bs.boxes, raw):
+        assert 0 <= b.xmin < b.xmax <= w and 0 <= b.ymin < b.ymax <= h
+        assert (b.xmin, b.ymin, b.xmax, b.ymax) == (r.xmin, r.ymin, min(r.xmax, w), min(r.ymax, h))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.integers(1, 300), h=st.integers(1, 300), dx=st.integers(0, 50), dy=st.integers(0, 50),
+       past_x=st.booleans())
+def test_box_starting_outside_is_rejected(w, h, dx, dy, past_x):
+    # The min corner is past the right edge, or past the bottom edge.
+    x0, y0 = (w + dx, dy) if past_x else (dx, h + dy)
+    with pytest.raises(ValueError, match="outside"):
+        BoxSet(w, h, [BBox(1, x0, y0, x0 + 1, y0 + 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_image_and_boxes(), st.integers(1, 80), st.integers(1, 80))
+def test_resized_boxes_keep_class_and_order_and_cover_a_cell(case, fh, fw):
+    w, h, raw = case
+    out = resize_boxes(BoxSet(w, h, raw), fh, fw)
+    assert (out.image_width, out.image_height) == (fw, fh)
+    assert [b.class_id for b in out.boxes] == [b.class_id for b in raw]
+    for b in out.boxes:
+        assert 0 <= b.xmin < b.xmax <= fw and 0 <= b.ymin < b.ymax <= fh
+
+
+@settings(max_examples=300, deadline=None)
+@given(_image_and_boxes())
+def test_resize_to_own_size_is_identity(case):
+    w, h, raw = case
+    bs = BoxSet(w, h, raw)
+    assert resize_boxes(bs, h, w).boxes == bs.boxes

@@ -97,7 +97,7 @@ class TestMeanField:
         unary, image = _random_instance(rng, 5, 5, 3)
         params = CrfParams(iterations=0)
         _, marginals = mean_field(unary, image, params)
-        scores = np.maximum(unary, params.unary_floor)
+        scores = np.maximum(unary, crf._UNARY_FLOOR)
         np.testing.assert_allclose(marginals, scores / scores.sum(axis=0), atol=1e-12)
 
     def test_two_pixel_agreement_matches_enumeration_oracle(self):
@@ -109,7 +109,7 @@ class TestMeanField:
         labels, _ = mean_field(unary, image, params)
 
         # oracle: exact energies of the 4 joint labelings
-        scores = np.maximum(unary, params.unary_floor)
+        scores = np.maximum(unary, crf._UNARY_FLOOR)
         psi = -np.log(scores / scores.sum(axis=0))
         coupling = params.w2 * np.exp(-1.0 / (2.0 * params.theta_gamma**2))
         best, best_energy = None, np.inf
@@ -192,10 +192,8 @@ class TestMeanField:
             CrfParams(theta_alpha=0.0)
         with pytest.raises(ValueError):
             CrfParams(iterations=-1)
-        with pytest.raises(ValueError):
-            CrfParams(unary_floor=0.0)
 
-    @pytest.mark.parametrize("name", ["w1", "w2", "theta_alpha", "theta_beta", "theta_gamma", "unary_floor"])
+    @pytest.mark.parametrize("name", ["w1", "w2", "theta_alpha", "theta_beta", "theta_gamma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_params_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):

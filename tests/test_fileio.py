@@ -116,6 +116,14 @@ class TestLabelMap:
             write_label_map(tmp_path / "y.pgm", np.zeros((2, 2), dtype=np.float32))
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "y.pgm"
+    target.mkdir()  # the final rename onto a directory fails
+    with pytest.raises(OSError):
+        write_label_map(target, np.zeros((2, 2), dtype=np.uint8))
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 class TestImage:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

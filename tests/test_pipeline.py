@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bana import fileio, nal
+from bana import clshead, fileio, nal
 from bana.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -45,8 +45,8 @@ class TestConfig:
         assert cfg.attn_threshold == 0.99
         assert cfg.gamma == 7.0
         assert cfg.lam == 0.1
-        assert cfg.momentum == 0.9
-        assert cfg.weight_decay == 5e-4
+        assert clshead.MOMENTUM == 0.9
+        assert clshead.WEIGHT_DECAY == 5e-4
 
     def test_json_round_trip_unchanged(self, tmp_path):
         cfg = PipelineConfig(corpus_dir="c", out_dir="o", seed=7, crf_theta_alpha=9.0, stages=["labels"])
@@ -58,6 +58,12 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             PipelineConfig.from_dict({"corpus_dir": "c", "out_dir": "o", "typo_key": 1})
+
+    @pytest.mark.parametrize("key", ["head_lr_drop_epoch", "head_batch_size", "momentum", "weight_decay",
+                                     "seg_scale", "crf_unary_floor"])
+    def test_fixed_settings_are_not_config_keys(self, key):
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            PipelineConfig.from_dict({"corpus_dir": "c", "out_dir": "o", key: 1})
 
     @pytest.mark.parametrize(
         "key, value",
@@ -81,9 +87,9 @@ class TestConfig:
 
     def test_int_as_float_and_null_for_optional_ints_accepted(self):
         cfg = PipelineConfig.from_dict(
-            {"corpus_dir": "c", "out_dir": "o", "crf_theta_alpha": 5, "num_classes": None, "head_lr_drop_epoch": None}
+            {"corpus_dir": "c", "out_dir": "o", "crf_theta_alpha": 5, "num_classes": None}
         )
-        assert cfg.crf_theta_alpha == 5 and cfg.num_classes is None and cfg.head_lr_drop_epoch is None
+        assert cfg.crf_theta_alpha == 5 and cfg.num_classes is None
 
     @pytest.mark.parametrize("d", [[], {"corpus_dir": "c"}])
     def test_malformed_config_rejected(self, d):
@@ -110,17 +116,15 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("num_classes", 0), ("seed", -1), ("jobs", 0), ("grid_size_train", 0), ("grid_size_label", 0),
-        ("head_epochs", 0), ("seg_epochs", 0), ("head_lr", 0.0), ("seg_lr", -1.0), ("head_lr_drop_epoch", -3),
-        ("head_batch_size", 0), ("seg_scale", 0.0), ("momentum", 1.5), ("momentum", 1.0),
-        ("momentum", -0.1), ("weight_decay", -1e-4), ("attn_threshold", 1.5), ("gamma", 0.5), ("lam", -0.1),
-        ("dump_confidence_every", -1),
+        ("head_epochs", 0), ("seg_epochs", 0), ("head_lr", 0.0), ("seg_lr", -1.0), ("attn_threshold", 1.5),
+        ("gamma", 0.5), ("lam", -0.1), ("dump_confidence_every", -1),
     ])
     def test_range_error_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             PipelineConfig(corpus_dir="c", out_dir="o", **{key: value})
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("key", ["gamma", "lam", "head_lr", "seg_scale", "crf_w1", "crf_w2",
+    @pytest.mark.parametrize("key", ["gamma", "lam", "head_lr", "seg_lr", "crf_w1", "crf_w2",
                                      "crf_theta_alpha", "crf_theta_beta", "crf_theta_gamma"])
     def test_non_finite_rejected(self, key, literal):
         # Python's json reads these literals as floats.
@@ -130,7 +134,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("crf_theta_alpha", 0.0), ("crf_theta_beta", -1.0), ("crf_theta_gamma", 0.0),
-        ("crf_w1", -0.5), ("crf_w2", -0.5), ("crf_iterations", -1), ("crf_unary_floor", 1.0),
+        ("crf_w1", -0.5), ("crf_w2", -0.5), ("crf_iterations", -1),
     ])
     def test_crf_ranges_checked_when_built(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):
