@@ -35,11 +35,14 @@ class PooledFeature:
 
 
 def _grid_cells(h: int, w: int, n: int):
-    """Row-major (row_slice, col_slice) pairs for an n x n partition."""
-    for r in range(n):
-        y0, y1 = (r * h) // n, ((r + 1) * h) // n
-        for c in range(n):
-            x0, x1 = (c * w) // n, ((c + 1) * w) // n
+    """Row-major (row_slice, col_slice) pairs of the non-empty cells of an
+    n x n partition. Along a side shorter than n those are its single rows
+    or columns, so that side is cut into min(n, side) parts."""
+    rows, cols = min(n, h), min(n, w)
+    for r in range(rows):
+        y0, y1 = (r * h) // rows, ((r + 1) * h) // rows
+        for c in range(cols):
+            x0, x1 = (c * w) // cols, ((c + 1) * w) // cols
             yield slice(y0, y1), slice(x0, x1)
 
 

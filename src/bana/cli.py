@@ -40,16 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# The CrfParams fields that `bana labels` and `bana crf` expose, and their flags.
-_CRF_FLAGS = {"iterations": "--iters", "w1": "--w1", "w2": "--w2",
-              "theta_alpha": "--theta-alpha", "theta_beta": "--theta-beta", "theta_gamma": "--theta-gamma"}
-
-
-def _add_crf_flags(p: argparse.ArgumentParser) -> None:
-    defaults = CrfParams()
-    for name, flag in _CRF_FLAGS.items():
-        default = getattr(defaults, name)
-        p.add_argument(flag, dest=name, type=type(default), default=default)
+# Each stage subcommand's settings flags, by the PipelineConfig field that gives a flag its
+# default and type and names its value; `bana labels` and `bana crf` add the CrfParams flags.
+_STAGE_FLAGS = {
+    "train-head": {"--grid-size": "grid_size_train", "--epochs": "head_epochs", "--lr": "head_lr", "--seed": "seed"},
+    "labels": {"--grid-size": "grid_size_label", "--attn-threshold": "attn_threshold"},
+    "nal-train": {"--gamma": "gamma", "--lambda": "lam", "--epochs": "seg_epochs", "--lr": "seg_lr", "--seed": "seed"},
+}
+_CRF_FLAGS = {"--iters": "iterations", "--w1": "w1", "--w2": "w2",
+              "--theta-alpha": "theta_alpha", "--theta-beta": "theta_beta", "--theta-gamma": "theta_gamma"}
+_FLAG_HELP = {"--attn-threshold": "background score threshold; 0 keeps the raw attention map"}
 
 
 def _positive_int(text: str) -> int:
@@ -62,8 +62,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_settings_flags(p: argparse.ArgumentParser, fields_of: type, flags: dict[str, str]) -> None:
+    """Add ``flags``, each defaulting to the field of the dataclass ``fields_of`` that it names."""
+    defaults = {f.name: f.default for f in dataclasses.fields(fields_of)}
+    for flag, name in flags.items():
+        kind = _positive_int if name.endswith("epochs") else type(defaults[name])
+        p.add_argument(flag, dest=name, type=kind, default=defaults[name], help=_FLAG_HELP.get(flag))
+
+
 def _crf_params(args) -> CrfParams:
-    return CrfParams(**{name: getattr(args, name) for name in _CRF_FLAGS})
+    return CrfParams(**{name: getattr(args, name) for name in _CRF_FLAGS.values()})
 
 
 def build_parser() -> _Parser:
@@ -86,10 +94,6 @@ def build_parser() -> _Parser:
     p.add_argument("--features-dir", required=True)
     p.add_argument("--boxes-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-size", type=int, default=4)
-    p.add_argument("--epochs", type=_positive_int, default=60)
-    p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classes", type=_positive_int, default=None, help="number of object classes (default: inferred)")
 
     p = sub.add_parser("labels", help="generate pseudo labels for one image")
@@ -100,30 +104,20 @@ def build_parser() -> _Parser:
     p.add_argument("--out-crf", required=True)
     p.add_argument("--out-ret", required=True)
     p.add_argument("--out-fused", required=True)
-    p.add_argument("--grid-size", type=int, default=1)
-    p.add_argument("--attn-threshold", type=float, default=0.99,
-                   help="background score threshold; 0 keeps the raw attention map")
     p.add_argument("--out-attention", default=None, help="also dump the attention map as .btf")
     p.add_argument("--filling-rate-csv", default=None)
-    _add_crf_flags(p)
 
     p = sub.add_parser("crf", help="mean-field inference on a unary stack")
     p.add_argument("--unary", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--marginals", default=None, help="dump final marginals as rank-3 .btf")
-    _add_crf_flags(p)
 
     p = sub.add_parser("nal-train", help="train the segmentation head")
     p.add_argument("--features-dir", required=True)
     p.add_argument("--labels-crf-dir", required=True)
     p.add_argument("--labels-ret-dir", required=True)
     p.add_argument("--out-head", required=True)
-    p.add_argument("--gamma", type=float, default=7.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--epochs", type=_positive_int, default=30)
-    p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classes", type=_positive_int, default=None)
     p.add_argument("--loss-csv", default=None)
     p.add_argument("--dump-confidence-dir", default=None,
@@ -137,6 +131,10 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=_positive_int, required=True)
     p.add_argument("--out", default=None, help="write the JSON report here as well")
 
+    for command, flags in _STAGE_FLAGS.items():
+        _add_settings_flags(sub.choices[command], pipeline.PipelineConfig, flags)
+    for command in ("labels", "crf"):
+        _add_settings_flags(sub.choices[command], CrfParams, _CRF_FLAGS)
     return parser
 
 
@@ -165,7 +163,7 @@ def _cmd_train_head(args) -> int:
     num_classes = pipeline.resolve_num_classes(args.classes, None, pipeline.box_class_ids(boxes_dir, ids))
     head, losses = pipeline.train_head(
         features_dir, boxes_dir, ids, num_classes,
-        grid_size=args.grid_size, epochs=args.epochs, lr=args.lr, seed=args.seed,
+        grid_size=args.grid_size_train, epochs=args.head_epochs, lr=args.head_lr, seed=args.seed,
     )
     clshead.save_head(args.out, head)
     print(f"final loss {losses[-1]:.4f} -> {args.out}")
@@ -178,7 +176,7 @@ def _cmd_labels(args) -> int:
     image = fileio.read_image(args.image)
     head = clshead.load_head(args.head)
     fused, attn, rates = pipeline.generate_labels_for_image(
-        f, boxes, image, head, grid_size=args.grid_size, tau=args.attn_threshold, crf_params=_crf_params(args)
+        f, boxes, image, head, grid_size=args.grid_size_label, tau=args.attn_threshold, crf_params=_crf_params(args)
     )
     fileio.write_label_map(args.out_crf, fused.y_crf)
     fileio.write_label_map(args.out_ret, fused.y_ret)
@@ -209,7 +207,7 @@ def _cmd_nal_train(args) -> int:
     num_classes = pipeline.resolve_num_classes(args.classes, None, pipeline.label_class_ids(crf_dir, ids))
     head, losses = pipeline.nal_train(
         features_dir, crf_dir, Path(args.labels_ret_dir), ids, num_classes,
-        gamma=args.gamma, lam=args.lam, epochs=args.epochs, lr=args.lr, seed=args.seed,
+        gamma=args.gamma, lam=args.lam, epochs=args.seg_epochs, lr=args.seg_lr, seed=args.seed,
         confidence_dir=Path(args.dump_confidence_dir) if args.dump_confidence_dir else None,
         confidence_every=args.dump_confidence_every,
     )

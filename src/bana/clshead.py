@@ -57,7 +57,7 @@ class ClassifierHead:
         return self.weights.shape[1]
 
 
-def init_head(num_classes: int, dim: int, *, seed: int = 0) -> ClassifierHead:
+def init_head(num_classes: int, dim: int, *, seed: int) -> ClassifierHead:
     """Gaussian init (zero mean, std 1e-2) of an (L+1, C) dot-product head."""
     rng = np.random.default_rng(seed)
     return ClassifierHead(weights=rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)))
@@ -159,7 +159,7 @@ def sgd_train(
     *,
     epochs: int,
     lr: float | list[float],
-    seed: int = 0,
+    seed: int,
 ) -> tuple[ClassifierHead, list[float]]:
     """Minibatch SGD with momentum and L2 weight decay, in batches of
     ``BATCH_SIZE`` samples.

@@ -89,7 +89,7 @@ def build_unary(
     attention: np.ndarray,
     boxes: BoxSet,
     num_classes: int,
-    tau: float = 0.99,
+    tau: float,
 ) -> np.ndarray:
     """(L+1, H, W) unary scores in [0, 1] at image resolution.
 

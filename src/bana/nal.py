@@ -70,8 +70,8 @@ def nal_loss_and_grad(
     features: np.ndarray,
     head: ClassifierHead,
     fused: FusedLabels,
-    gamma: float = 7.0,
-    lam: float = 0.1,
+    gamma: float,
+    lam: float,
     confidence: np.ndarray | None = None,
 ) -> tuple[SegLossReport, np.ndarray]:
     """Noise-aware loss over one image and its gradient w.r.t. the head.
@@ -115,11 +115,11 @@ def train_seg_head(
     samples: list[tuple[np.ndarray, FusedLabels]],
     num_classes: int,
     *,
-    gamma: float = 7.0,
-    lam: float = 0.1,
-    epochs: int = 30,
-    lr: float | list[float] = 0.1,
-    seed: int = 0,
+    gamma: float,
+    lam: float,
+    epochs: int,
+    lr: float | list[float],
+    seed: int,
     confidence_hook=None,
 ) -> tuple[ClassifierHead, list[float]]:
     """SGD over (features, fused labels) images with the noise-aware loss.

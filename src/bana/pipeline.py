@@ -266,8 +266,8 @@ def generate_labels_for_image(
     image: np.ndarray,
     head: ClassifierHead,
     *,
-    grid_size: int = 1,
-    tau: float = 0.99,
+    grid_size: int,
+    tau: float,
     crf_params: CrfParams,
 ) -> tuple[FusedLabels, np.ndarray, list[float]]:
     """Full label generation for one image.
@@ -324,7 +324,7 @@ def run_labels_stage(cfg: PipelineConfig) -> Path:
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(cfg.jobs) as pool:
+            with ProcessPoolExecutor(min(cfg.jobs, len(ids))) as pool:
                 results = list(pool.map(_labels_worker, jobs))
         except BrokenProcessPool as e:
             raise PipelineError(f"stage 'labels': a worker process died ({e})") from e
@@ -415,14 +415,19 @@ def run_nal_train_stage(cfg: PipelineConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def label_confusion(pred_dir: Path, ref_dir: Path, ids: list[str], num_classes: int) -> np.ndarray:
+def label_confusion(pred_dir: Path, ref_dir: Path, ids: list[str], num_classes: int, *,
+                    claimed_only: bool = False) -> np.ndarray:
     """Stage 4's scoring: the confusion matrix of the label maps in
-    ``pred_dir`` against those in ``ref_dir``, summed over ``ids``."""
+    ``pred_dir`` against those in ``ref_dir``, summed over ``ids``. With
+    ``claimed_only`` the predictions' IGNORE pixels are left out as well."""
     n = num_classes + 1
     cm = np.zeros((n, n), dtype=np.int64)
     for image_id in ids:
         pred = fileio.read_label_map(pred_dir / f"{image_id}.pgm", num_classes)
         ref = fileio.read_label_map(ref_dir / f"{image_id}.pgm", num_classes)
+        if claimed_only:
+            ref = np.where(pred == IGNORE, IGNORE, ref)
+            pred = np.where(pred == IGNORE, 0, pred)
         cm += metrics.confusion(pred, ref, num_classes)
     return cm
 
@@ -444,12 +449,10 @@ def run_eval_stage(cfg: PipelineConfig) -> Path:
 
     report: dict = {}
     if have_labels:
+        # The CRF map labels every pixel, so its matrix counts every pixel the
+        # ground truth labels; the fused one only those both maps label.
         crf = label_confusion(labels_dir / "crf", gt_dir, ids, num_classes)
-        # Per-class IoU is symmetric in the two maps, so scoring the fused map
-        # as the "reference" skips exactly its IGNORE pixels.
-        fused = label_confusion(gt_dir, labels_dir / "fused", ids, num_classes)
-        # The ground truth holds no IGNORE pixel (it was accepted as the
-        # prediction just above), so the CRF matrix counts every pixel.
+        fused = label_confusion(labels_dir / "fused", gt_dir, ids, num_classes, claimed_only=True)
         total = int(crf.sum())
         report["pseudo_labels"] = {
             "crf": metrics.score(crf),

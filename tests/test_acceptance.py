@@ -132,11 +132,11 @@ def test_criterion_3_gradient_oracles():
         fused = fuse_labels(y_crf, y_ret)
         # the gradient treats confidence as a constant; pin it for the probe
         sigma = confidence_map(correlation_maps(f, head), fused.y_crf, 7.0)
-        _, grad = nal_loss_and_grad(f, head, fused, confidence=sigma)
+        _, grad = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1, confidence=sigma)
 
         def nal_of(w):
             h = ClassifierHead(weights=w, mode="cosine", scale=head.scale)
-            return nal_loss_and_grad(f, h, fused, confidence=sigma)[0].total
+            return nal_loss_and_grad(f, h, fused, gamma=7.0, lam=0.1, confidence=sigma)[0].total
 
         worst_nal = max(worst_nal, max_relative_error(grad, finite_difference_grad(nal_of, head.weights)))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bana.bgattn import attention_map, bap_pool, extract_queries
+from bana.bgattn import _grid_cells, attention_map, bap_pool, extract_queries
 from bana.core import BBox, BoxSet, build_background_mask
 
 
@@ -45,6 +45,20 @@ class TestExtractQueries:
         f = np.ones((1, 2, 2))
         qs = extract_queries(f, np.ones((2, 2), dtype=np.uint8), 5)
         assert len(qs) == 4  # empty cells simply vanish
+
+    def test_grid_cells_are_the_non_empty_cells_of_the_partition(self):
+        # Past a side's length every further cell is empty, so a huge grid
+        # costs no more than one cell per pixel and gives the same queries.
+        assert len(list(_grid_cells(16, 16, 1000))) == 256
+        for h, w, n in [(16, 4, 8), (5, 7, 6), (3, 9, 4), (8, 8, 3), (6, 6, 6), (1, 1, 40)]:
+            plain = [(slice(r * h // n, (r + 1) * h // n), slice(c * w // n, (c + 1) * w // n))
+                     for r in range(n) for c in range(n)]
+            expected = [(r, c) for r, c in plain if r.stop > r.start and c.stop > c.start]
+            assert list(_grid_cells(h, w, n)) == expected, (h, w, n)
+        rng = np.random.default_rng(2)
+        f = rng.normal(size=(3, 16, 16))
+        mask = build_background_mask(_grid(16, 16, BBox(1, 2, 3, 9, 12)), 16, 16)
+        np.testing.assert_array_equal(extract_queries(f, mask, 10**6), extract_queries(f, mask, 16))
 
 
 class TestAttentionMap:

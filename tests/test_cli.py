@@ -168,6 +168,37 @@ class TestCrfFlags:
             assert params == dataclasses.replace(CrfParams(), **{name: value}), flag
 
 
+class TestStageFlags:
+    CONFIG_FIELDS = {
+        "train-head":
+            {"--grid-size": "grid_size_train", "--epochs": "head_epochs", "--lr": "head_lr", "--seed": "seed"},
+        "labels": {"--grid-size": "grid_size_label", "--attn-threshold": "attn_threshold"},
+        "nal-train":
+            {"--gamma": "gamma", "--lambda": "lam", "--epochs": "seg_epochs", "--lr": "seg_lr", "--seed": "seed"},
+    }
+
+    @pytest.mark.parametrize("command", ["train-head", "labels", "nal-train"])
+    def test_each_settings_flag_defaults_to_its_config_field(self, command):
+        subcommand = build_parser()._subparsers._group_actions[0].choices[command]
+        defaults = {a.option_strings[0]: a.default for a in subcommand._actions if a.option_strings}
+        config = PipelineConfig(corpus_dir="c", out_dir="o")
+        for flag, name in self.CONFIG_FIELDS[command].items():
+            assert defaults[flag] == getattr(config, name), flag
+            assert type(defaults[flag]) is type(getattr(config, name)), flag
+
+    def test_default_flags_reproduce_the_pipeline_heads(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        cfg = PipelineConfig(corpus_dir=str(corpus), out_dir=str(out), stages=["train-head", "labels", "nal-train"])
+        run_pipeline(cfg)
+        assert main(["train-head", "--features-dir", str(corpus / "features"), "--boxes-dir", str(corpus / "boxes"),
+                     "--out", str(tmp_path / "head.btf")]) == 0
+        assert main(["nal-train", "--features-dir", str(corpus / "features"),
+                     "--labels-crf-dir", str(out / "labels" / "crf"), "--labels-ret-dir", str(out / "labels" / "ret"),
+                     "--out-head", str(tmp_path / "seg.btf")]) == 0
+        for cli_file, stage_file in [("head.btf", "head/classifier.btf"), ("seg.btf", "seg/seg_head.btf")]:
+            assert (tmp_path / cli_file).read_bytes() == (out / stage_file).read_bytes(), cli_file
+
+
 class TestRunAndEval:
     def test_config_driven_run_and_eval(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"

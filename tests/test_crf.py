@@ -81,7 +81,7 @@ class TestBuildUnary:
     def test_resolution_mismatch_rejected(self):
         boxes = BoxSet(8, 8, [BBox(1, 0, 0, 4, 4)])
         with pytest.raises(ValueError, match="shape"):
-            build_unary({1: np.ones((4, 4))}, np.ones((5, 5)), boxes, num_classes=1)
+            build_unary({1: np.ones((4, 4))}, np.ones((5, 5)), boxes, num_classes=1, tau=0.99)
 
 
 class TestMeanField:

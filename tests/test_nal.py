@@ -120,7 +120,7 @@ class TestNalLoss:
     def test_unit_confidence_collapses_to_mean_ce(self):
         rng = np.random.default_rng(3)
         f, head, fused = self._instance(rng)
-        report, _ = nal_loss_and_grad(f, head, fused, confidence=np.ones(f.shape[1:]))
+        report, _ = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1, confidence=np.ones(f.shape[1:]))
         idx = fused.disagree
         x = f.reshape(3, -1).T[idx.ravel()]
         t = fused.y_crf[idx].astype(np.intp)
@@ -130,12 +130,12 @@ class TestNalLoss:
     def test_report_records_the_confidence_used(self):
         rng = np.random.default_rng(8)
         f, head, fused = self._instance(rng)
-        report, _ = nal_loss_and_grad(f, head, fused, gamma=3.0)
+        report, _ = nal_loss_and_grad(f, head, fused, gamma=3.0, lam=0.1)
         expected = confidence_map(correlation_maps(f, head), fused.y_crf, 3.0)
         np.testing.assert_array_equal(report.confidence, expected)
         agreed = fuse_labels(fused.y_crf, fused.y_crf)
-        assert nal_loss_and_grad(f, head, agreed, gamma=3.0)[0].confidence is None
-        assert nal_loss_and_grad(f, head, agreed, confidence=expected)[0].confidence is None
+        assert nal_loss_and_grad(f, head, agreed, gamma=3.0, lam=0.1)[0].confidence is None
+        assert nal_loss_and_grad(f, head, agreed, gamma=7.0, lam=0.1, confidence=expected)[0].confidence is None
 
     def test_no_disagreement_makes_lambda_irrelevant(self):
         rng = np.random.default_rng(4)
@@ -143,8 +143,8 @@ class TestNalLoss:
         head = random_head(rng, 2, 3, "cosine")
         y = rng.integers(0, 3, size=(4, 4)).astype(np.uint8)
         fused = fuse_labels(y, y.copy())
-        r1, g1 = nal_loss_and_grad(f, head, fused, lam=0.1)
-        r2, g2 = nal_loss_and_grad(f, head, fused, lam=5.0)
+        r1, g1 = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1)
+        r2, g2 = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=5.0)
         assert r1.total == r2.total == r1.loss_agree
         assert np.array_equal(g1, g2)
 
@@ -154,7 +154,7 @@ class TestNalLoss:
         head = random_head(rng, 2, 3, "cosine")
         y = rng.integers(0, 3, size=(5, 5)).astype(np.uint8)
         fused = fuse_labels(y, y.copy())
-        report, grad = nal_loss_and_grad(f, head, fused)
+        report, grad = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1)
         loss, grad_ref = ce_loss_and_grad(head, f.reshape(3, -1).T, y.ravel().astype(np.intp))
         assert report.total == pytest.approx(loss, rel=1e-12)
         np.testing.assert_allclose(grad, grad_ref, rtol=1e-12)
@@ -162,7 +162,7 @@ class TestNalLoss:
     def test_lambda_zero_ignores_disagreement(self):
         rng = np.random.default_rng(6)
         f, head, fused = self._instance(rng)
-        report, grad = nal_loss_and_grad(f, head, fused, lam=0.0)
+        report, grad = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.0)
         assert report.total == report.loss_agree
         idx = fused.agree
         x = f.reshape(3, -1).T[idx.ravel()]
@@ -173,7 +173,7 @@ class TestNalLoss:
     def test_zero_confidence_sum_gives_zero_weighted_loss(self):
         rng = np.random.default_rng(7)
         f, head, fused = self._instance(rng)
-        report, _ = nal_loss_and_grad(f, head, fused, confidence=np.zeros(f.shape[1:]))
+        report, _ = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1, confidence=np.zeros(f.shape[1:]))
         assert report.loss_disagree == 0.0
 
     def test_empty_image_rejected(self):
@@ -182,7 +182,7 @@ class TestNalLoss:
         f = rng.normal(size=(3, 0, 4))
         y = np.zeros((0, 4), dtype=np.uint8)
         with pytest.raises(ValueError, match=">= 1"):
-            nal_loss_and_grad(f, head, fuse_labels(y, y))
+            nal_loss_and_grad(f, head, fuse_labels(y, y), gamma=7.0, lam=0.1)
 
     def test_gradient_matches_finite_differences(self):
         # the analytic gradient treats the confidence weights as constants,
@@ -191,11 +191,11 @@ class TestNalLoss:
         for _ in range(25):
             f, head, fused = self._instance(rng, num_classes=int(rng.integers(1, 4)))
             sigma = confidence_map(correlation_maps(f, head), fused.y_crf, 7.0)
-            _, grad = nal_loss_and_grad(f, head, fused, confidence=sigma)
+            _, grad = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1, confidence=sigma)
 
             def loss_of(w):
                 h = ClassifierHead(weights=w, mode="cosine", scale=head.scale)
-                return nal_loss_and_grad(f, h, fused, confidence=sigma)[0].total
+                return nal_loss_and_grad(f, h, fused, gamma=7.0, lam=0.1, confidence=sigma)[0].total
 
             fd = finite_difference_grad(loss_of, head.weights, h=1e-3)
             assert max_relative_error(grad, fd) <= 1e-4
@@ -259,31 +259,31 @@ def _boundary_noise_instance(n_images=12, noise_frac=0.2, feature_noise=0.35):
 class TestTrainSegHead:
     def test_deterministic_given_seed(self):
         noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=3)
-        a, _ = train_seg_head(noisy, num_classes, epochs=3, lr=0.05, seed=5)
-        b, _ = train_seg_head(noisy, num_classes, epochs=3, lr=0.05, seed=5)
+        a, _ = train_seg_head(noisy, num_classes, gamma=7.0, lam=0.1, epochs=3, lr=0.05, seed=5)
+        b, _ = train_seg_head(noisy, num_classes, gamma=7.0, lam=0.1, epochs=3, lr=0.05, seed=5)
         assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_confidence_hook_reuses_the_step_confidence(self, monkeypatch):
         noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=4)
-        plain, plain_losses = train_seg_head(noisy, num_classes, epochs=3, lr=0.05, seed=0)
+        plain, plain_losses = train_seg_head(noisy, num_classes, gamma=7.0, lam=0.1, epochs=3, lr=0.05, seed=0)
         calls, dumps = [], []
         real = nal.correlation_maps
         monkeypatch.setattr(nal, "correlation_maps", lambda *a: calls.append(1) or real(*a))
-        head, losses = train_seg_head(noisy, num_classes, epochs=3, lr=0.05, seed=0,
+        head, losses = train_seg_head(noisy, num_classes, gamma=7.0, lam=0.1, epochs=3, lr=0.05, seed=0,
                                       confidence_hook=lambda epoch, i, sigma: dumps.append((epoch, i)))
         assert len(dumps) == 12 and len(calls) == 12  # one per image step, not two
         assert head.weights.tobytes() == plain.weights.tobytes() and losses == plain_losses
 
     def test_loss_decreases_on_separable_data(self):
         noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=4)
-        _, losses = train_seg_head(noisy, num_classes, epochs=10, lr=0.05, seed=0)
+        _, losses = train_seg_head(noisy, num_classes, gamma=7.0, lam=0.1, epochs=10, lr=0.05, seed=0)
         assert losses[-1] < losses[0]
 
     def test_noise_aware_beats_plain_ce_under_boundary_noise(self):
         noisy, trusted, gts, feats, num_classes = _boundary_noise_instance()
 
         def train_and_score(samples, lam):
-            head, _ = train_seg_head(samples, num_classes, lam=lam, epochs=40, lr=0.05, seed=0)
+            head, _ = train_seg_head(samples, num_classes, gamma=7.0, lam=lam, epochs=40, lr=0.05, seed=0)
             cm = np.zeros((num_classes + 1, num_classes + 1), np.int64)
             for gt, f in zip(gts, feats):
                 cm += metrics.confusion(predict_labels(f, head, *gt.shape), gt, num_classes)
@@ -295,7 +295,7 @@ class TestTrainSegHead:
 
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            train_seg_head([], 2)
+            train_seg_head([], 2, gamma=7.0, lam=0.1, epochs=30, lr=0.1, seed=0)
 
     @pytest.mark.parametrize("setting, match", [
         ({"gamma": 0.5}, "gamma"), ({"gamma": float("nan")}, "gamma"),
@@ -306,7 +306,8 @@ class TestTrainSegHead:
         noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=2)
         monkeypatch.setattr(nal, "nal_loss_and_grad", lambda *a, **k: pytest.fail("training started"))
         with pytest.raises(ValueError, match=match):
-            train_seg_head(noisy, num_classes, epochs=1, **setting)
+            train_seg_head(noisy, num_classes, **{"gamma": 7.0, "lam": 0.1, "epochs": 1, "lr": 0.1, "seed": 0,
+                                                  **setting})
 
 
 class TestPredict:

@@ -1,5 +1,6 @@
 """Pipeline config round trips, stage wiring, determinism, noise experiment."""
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bana import clshead, fileio, nal
+from bana import clshead, fileio, metrics, nal
+from bana.core import IGNORE
 from bana.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -191,6 +193,32 @@ class TestStages:
         conf_files = sorted((out / "confidence").glob("0000_epoch*.btf"))
         assert [p.name for p in conf_files] == ["0000_epoch000.btf", "0000_epoch002.btf"]
 
+    def test_void_ground_truth_is_left_out_of_every_score(self, tmp_path):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        manifest = synth_corpus(corpus, seed=3, num_images=4, size=32, num_classes=3)
+        for image_id in manifest["ids"]:
+            gt = fileio.read_label_map(corpus / "gt" / f"{image_id}.pgm")
+            gt[0] = IGNORE  # a void top row, as PASCAL VOC marks object borders
+            fileio.write_label_map(corpus / "gt" / f"{image_id}.pgm", gt)
+        run_pipeline(_cfg(corpus, out, head_epochs=10, seg_epochs=3))
+        report = json.loads((out / "metrics.json").read_text())
+
+        # The oracle scores the rows below the void one, where the ground truth labels every pixel.
+        def rows(directory):
+            return [fileio.read_label_map(directory / f"{image_id}.pgm")[1:] for image_id in manifest["ids"]]
+
+        def scored(preds, refs):
+            return metrics.score(sum(metrics.confusion(p, r, 3) for p, r in zip(preds, refs)))
+
+        gts, fused = rows(corpus / "gt"), rows(out / "labels" / "fused")
+        assert report["pseudo_labels"]["crf"] == scored(rows(out / "labels" / "crf"), gts)
+        assert report["pseudo_labels"]["ret"] == scored(rows(out / "labels" / "ret"), gts)
+        # IoU and accuracy are symmetric, and a reference's IGNORE pixels are skipped.
+        assert report["pseudo_labels"]["fused_claimed"] == scored(gts, fused)
+        claimed = sum(int((y != IGNORE).sum()) for y in fused)
+        assert report["pseudo_labels"]["fused_coverage"] == pytest.approx(claimed / sum(g.size for g in gts))
+        assert report["segmentation"] == scored(rows(out / "preds"), gts)
+
     def test_filling_rate_csv_is_well_formed(self, mini_corpus, tmp_path):
         out = tmp_path / "out"
         run_pipeline(_cfg(mini_corpus, out, stages=["train-head", "labels"]))
@@ -222,6 +250,53 @@ class TestDeterminism:
         for rel in ("labels/crf/0003.pgm", "labels/fused/0002.pgm", "filling_rate.csv"):
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
+    def test_pool_never_starts_more_workers_than_images(self, tmp_path, monkeypatch):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        synth_corpus(corpus, seed=1, num_images=2, size=32, num_classes=3)
+        run_pipeline(_cfg(corpus, out, stages=["train-head"], head_epochs=5))
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        run_pipeline(_cfg(corpus, out, stages=["labels"], jobs=64))
+        assert started == [2]
+        assert sorted(p.name for p in (out / "labels" / "fused").glob("*.pgm")) == ["0000.pgm", "0001.pgm"]
+
+    def test_killed_run_reruns_to_the_same_bytes(self, tmp_path):
+        corpus, killed, reference = tmp_path / "corpus", tmp_path / "killed", tmp_path / "reference"
+        synth_corpus(corpus, seed=4, num_images=12, size=48, num_classes=3)
+        # jobs=1: the labels stage runs in the killed process, so no pool worker outlives it.
+        cfg = _cfg(corpus, killed, seg_epochs=3, jobs=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        argv = [sys.executable, "-m", "bana.cli", "run", "--config", str(cfg_path)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        deadline = time.monotonic() + 30.0
+        while not any((killed / "labels" / "crf").glob("*.pgm")) and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        run.kill()
+        assert run.wait(timeout=10) == -9, "the run ended before the kill"
+        assert subprocess.run(argv, env=env, capture_output=True, timeout=60).returncode == 0
+        assert list(killed.rglob("*.tmp")) == []
+        run_pipeline(dataclasses.replace(cfg, out_dir=str(reference)))
+        files = sorted(p.relative_to(reference) for p in reference.rglob("*") if p.is_file())
+        assert sorted(p.relative_to(killed) for p in killed.rglob("*") if p.is_file()) == files
+        for rel in files:
+            if rel.name != "config.json":  # embeds the out_dir
+                assert (killed / rel).read_bytes() == (reference / rel).read_bytes(), rel
 
     def test_dead_worker_raises_instead_of_hanging(self, mini_corpus, tmp_path):
         out = tmp_path / "out"
