@@ -28,7 +28,9 @@ selects one with ``method``:
                  limited by the kernel's memory. The tests use it on small
                  images as the equivalence oracle.
 
-Inference is deterministic: fixed iteration count, no randomness.
+Inference is deterministic: fixed iteration count, no randomness. Each
+update is a per-pixel softmax in which the marginals below e^-600 of their
+pixel's largest are set to 0, so no marginal is subnormal.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clshead import softmax
 from .core import BoxSet, bilinear_resize, box_interior_mask
 
 # Largest kernel matrix (entries) the dense engine will allocate.
@@ -57,6 +58,11 @@ _SPATIAL_BLOCK = 64
 # Unary scores are floored here before the negative log, so that a zero score
 # still costs a finite energy.
 _UNARY_FLOOR = 1e-5
+# A marginal whose log is this far or further below its pixel's largest is set
+# to exactly 0 (e^-600 < 2.7e-261). Left to exp, the smallest ones underflow
+# into subnormals, whose arithmetic is many times slower on x86; under
+# CrfParams() they doubled each iteration's time. No label depends on them.
+_LOG_MARGINAL_FLOOR = -600.0
 
 
 @dataclass
@@ -118,9 +124,10 @@ def build_unary(
         cam_c = np.asarray(cam_c, dtype=np.float64)
         if cam_c.shape != a.shape:
             raise ValueError(f"cam for class {c} has shape {cam_c.shape}, attention is {a.shape}")
-        if cam_c.min() < 0.0:
-            raise ValueError(f"cam for class {c} has negative values")
         peak = cam_c.max()
+        # Written so that NaN and +-inf fail too.
+        if not (cam_c.min() >= 0.0 and peak < math.inf):
+            raise ValueError(f"cam for class {c} has negative or non-finite values")
         class_boxes = boxes.boxes_of_class(c)
         if peak <= 0.0 or not class_boxes:
             continue
@@ -137,8 +144,16 @@ def _unary_potentials(unary: np.ndarray) -> np.ndarray:
 
 def _update(psi: np.ndarray, msg: np.ndarray) -> np.ndarray:
     # Potts mean-field step; the constant sum_j k(i,j) cancels in the
-    # per-pixel normalization, leaving Q ~ exp(-psi + msg).
-    return softmax(msg - psi, axis=0)
+    # per-pixel normalization, leaving Q ~ exp(-psi + msg). A per-pixel
+    # softmax whose entries at or below the floor are clipped before the
+    # exponential, so none underflows, and then set to 0.
+    z = msg - psi
+    z -= z.max(axis=0, keepdims=True)
+    low = z <= _LOG_MARGINAL_FLOOR
+    np.maximum(z, _LOG_MARGINAL_FLOOR, out=z)
+    e = np.exp(z, out=z)
+    e[low] = 0.0
+    return e / e.sum(axis=0, keepdims=True)
 
 
 def _pixel_features(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +298,12 @@ class _Lattice:
         np.minimum(i, m - 1, out=i)
         found = vertices[i] == target
         del target
-        prev = np.full((d + 1, m), m)  # m: an always-zero slot
-        for j in range(d + 1):
-            prev[j, i[j, found[j]]] = np.flatnonzero(found[j])
-        i[~found] = m
-        self.neighbours = list(zip(i, prev))
+        i[~found] = m  # m: an always-zero slot
+        # The step ahead is one-to-one within each direction, so one scatter
+        # inverts it; the missing neighbours all land in column m, cut off after.
+        prev = np.full((d + 1, m + 1), m)
+        prev[np.arange(d + 1)[:, None], i] = np.arange(m)
+        self.neighbours = list(zip(i, prev[:, :m]))
 
     def blur(self, values: np.ndarray) -> np.ndarray:
         """(n, L) values -> (n, L) filtered values."""
@@ -377,6 +393,7 @@ def mean_field(
     ``method`` picks the message engine: "lattice" (permutohedral lattice) or
     "dense" (full kernel matrix). The marginals start as the softmax of the
     negated potentials and take ``params.iterations`` deterministic updates.
+    Marginals below e^-600 of their pixel's largest are set to 0.
     """
     u = np.asarray(unary, dtype=np.float64)
     img = np.asarray(image)
@@ -386,7 +403,7 @@ def mean_field(
         raise ValueError("image must be uint8 with shape (H, W, 3)")
     if img.shape[:2] != u.shape[1:]:
         raise ValueError(f"image {img.shape[:2]} and unary {u.shape[1:]} resolutions differ")
-    if u.min() < 0.0 or u.max() > 1.0:
+    if not (u.min() >= 0.0 and u.max() <= 1.0):  # written so that NaN fails too
         raise ValueError("unary scores must lie in [0, 1]")
     nl, h, w = u.shape
     psi = _unary_potentials(u)

@@ -1,6 +1,7 @@
 """Unary construction and mean-field inference, dense engine as the oracle."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bana import crf
+from bana import crf, fileio
+from bana.clshead import softmax
 from bana.core import BBox, BoxSet
 from bana.crf import CrfParams, build_unary, mean_field
+from bana.synth import synth_corpus
 
 
 def _flat_image(h, w, value=128):
@@ -82,6 +85,14 @@ class TestBuildUnary:
         boxes = BoxSet(8, 8, [BBox(1, 0, 0, 4, 4)])
         with pytest.raises(ValueError, match="shape"):
             build_unary({1: np.ones((4, 4))}, np.ones((5, 5)), boxes, num_classes=1, tau=0.99)
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_negative_or_non_finite_cam_rejected(self, value):
+        boxes = BoxSet(8, 8, [BBox(1, 0, 0, 4, 4)])
+        cam = np.ones((4, 4))
+        cam[1, 2] = value
+        with pytest.raises(ValueError, match="negative or non-finite"):
+            build_unary({1: cam}, np.ones((4, 4)), boxes, num_classes=1, tau=0.99)
 
 
 class TestMeanField:
@@ -187,6 +198,13 @@ class TestMeanField:
             with pytest.raises(ValueError, match="unknown method"):
                 mean_field(np.full((2, 4, 4), 0.5), _flat_image(4, 4), params, method=retired)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_unary_rejected(self, value):
+        unary = np.full((2, 4, 4), 0.5)
+        unary[1, 2, 3] = value
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            mean_field(unary, _flat_image(4, 4), CrfParams(iterations=1))
+
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             CrfParams(theta_alpha=0.0)
@@ -214,6 +232,39 @@ def test_lattice_vertex_codes_match_their_definition():
     values, counts = crf._distinct(codes)
     reference = np.unique(codes, return_counts=True)
     assert np.array_equal(values, reference[0]) and np.array_equal(counts, reference[1])
+
+
+def _is_subnormal(q):
+    return (q != 0.0) & (np.abs(q) < np.finfo(np.float64).tiny)
+
+
+class TestMarginalFloor:
+    def test_update_is_the_softmax_with_the_smallest_entries_zeroed(self):
+        rng = np.random.default_rng(11)
+        floor = crf._LOG_MARGINAL_FLOOR
+        for _ in range(5):
+            msg = rng.uniform(-2000.0, 0.0, size=(4, 16, 16))
+            msg[:, 0, :4] = [[0.0] * 4, [floor] * 4, [floor + 1e-9, floor - 1e-9, -700.0, -745.0], [-1.0] * 4]
+            psi = rng.uniform(0.0, 20.0, size=msg.shape)
+            q, reference = crf._update(psi, msg), softmax(msg - psi, axis=0)
+            shifted = (msg - psi) - (msg - psi).max(axis=0, keepdims=True)
+            kept = shifted > floor
+            assert np.array_equal(q.argmax(axis=0), reference.argmax(axis=0))
+            assert q[kept].tobytes() == reference[kept].tobytes()
+            assert np.all(q[~kept] == 0.0)
+            assert np.all(reference[~kept] <= math.exp(floor))
+            assert not _is_subnormal(q).any()
+
+    def test_no_marginal_is_subnormal_under_the_paper_setting(self, tmp_path):
+        # The ground-truth labels as unary scores: under CrfParams() the exact
+        # softmax leaves a few hundred of this image's marginals subnormal.
+        synth_corpus(tmp_path, seed=0, num_images=1, size=64, num_classes=3)
+        image = fileio.read_image(tmp_path / "images" / "0000.ppm")
+        gt = fileio.read_label_map(tmp_path / "gt" / "0000.pgm", 3)
+        unary = (np.arange(4)[:, None, None] == gt).astype(np.float64)
+        for k in range(11):
+            _, q = mean_field(unary, image, CrfParams(iterations=k))
+            assert not _is_subnormal(q).any(), k
 
 
 _BANDWIDTH = st.floats(min_value=1e-3, max_value=1e4)  # far below to far above the image size

@@ -231,10 +231,8 @@ class TestStages:
 
 
 class TestDeterminism:
-    def test_two_runs_byte_identical(self, mini_corpus, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_pipeline(_cfg(mini_corpus, out_a))
-        run_pipeline(_cfg(mini_corpus, out_b))
+    @staticmethod
+    def _assert_same_files(out_a, out_b):
         files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
         files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
         assert files_a == files_b
@@ -243,12 +241,38 @@ class TestDeterminism:
                 continue  # embeds the differing out_dir by design
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
+    def test_two_runs_byte_identical(self, mini_corpus, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        run_pipeline(_cfg(mini_corpus, out_a))
+        run_pipeline(_cfg(mini_corpus, out_b))
+        self._assert_same_files(out_a, out_b)
+
     def test_worker_pool_does_not_change_outputs(self, mini_corpus, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_pipeline(_cfg(mini_corpus, out_a, stages=["train-head", "labels"], jobs=1))
         run_pipeline(_cfg(mini_corpus, out_b, stages=["train-head", "labels"], jobs=2))
-        for rel in ("labels/crf/0003.pgm", "labels/fused/0002.pgm", "filling_rate.csv"):
-            assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+        self._assert_same_files(out_a, out_b)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_labels_stage_bytes_do_not_depend_on_the_start_method(self, mini_corpus, tmp_path, method):
+        # Workers started afresh must rebuild everything from the job they are
+        # sent, with nothing inherited from the parent's memory.
+        reference, pooled = tmp_path / "reference", tmp_path / "pooled"
+        run_pipeline(_cfg(mini_corpus, reference, stages=["train-head", "labels"], jobs=1))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(_cfg(mini_corpus, pooled, stages=["train-head", "labels"], jobs=2).to_json())
+        child = (
+            "import multiprocessing, sys\n"
+            "from bana.pipeline import PipelineConfig, run_pipeline\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "run_pipeline(PipelineConfig.from_json_file(sys.argv[2]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", child, method, str(cfg_path)], env=env, check=True, timeout=60)
+        rels = sorted(p.relative_to(reference) for p in (reference / "labels").rglob("*") if p.is_file())
+        assert rels == sorted(p.relative_to(pooled) for p in (pooled / "labels").rglob("*") if p.is_file())
+        for rel in rels + [Path("filling_rate.csv")]:
+            assert (reference / rel).read_bytes() == (pooled / rel).read_bytes(), rel
 
     def test_pool_never_starts_more_workers_than_images(self, tmp_path, monkeypatch):
         corpus, out = tmp_path / "corpus", tmp_path / "out"
