@@ -85,7 +85,7 @@ def attention_map(features: np.ndarray, queries: np.ndarray, boxes: BoxSet) -> n
     # Zero-norm rows stay zero, which makes their cosine contributions 0.
     fhat = unit_norm(f.reshape(c, -1).T, axis=1)  # (HW, C)
     qhat = unit_norm(np.asarray(queries, dtype=np.float64), axis=1)  # (J, C)
-    sims = np.maximum(fhat @ qhat.T, 0.0)  # ReLU-truncated cosines
+    sims = np.clip(fhat @ qhat.T, 0.0, 1.0)  # ReLU-truncated cosines, rounded ones kept <= 1
     a = sims.mean(axis=1).reshape(h, w)
     a[~inside] = 1.0
     return a

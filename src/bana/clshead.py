@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_feature_map, unit_norm
+from .core import IGNORE, as_feature_map, unit_norm
 from . import fileio
 
 MODES = ("dot", "cosine")
@@ -38,8 +38,9 @@ class ClassifierHead:
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape[0] < 2:
-            raise ValueError(f"weights must be (L+1, C) with L >= 1, got {self.weights.shape}")
+        # Labels are uint8 and 255 is IGNORE, so at most 254 classes.
+        if self.weights.ndim != 2 or not 2 <= self.weights.shape[0] <= IGNORE:
+            raise ValueError(f"weights must be (L+1, C) with 1 <= L <= {IGNORE - 1}, got {self.weights.shape}")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights contain non-finite values")
         if self.mode not in MODES:

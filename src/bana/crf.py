@@ -8,25 +8,17 @@ Potts model whose pairwise kernel is the usual pair of Gaussians:
     k(i, j) = w1 * exp(-|p_i - p_j|^2 / (2 ta^2) - |I_i - I_j|^2 / (2 tb^2))
             + w2 * exp(-|p_i - p_j|^2 / (2 tg^2))
 
-Two message-passing engines share the same update step; ``mean_field``
-selects one with ``method``:
-
-* ``lattice`` -- the default: the bilateral lattice plus the exact
-                 separable spatial term. The bilateral term is a Gaussian
-                 filter on a 5-D permutohedral lattice (Adams, Baek & Davis
-                 2010; Kraehenbuehl & Koltun 2011) over position and colour,
-                 built once per image, so an iteration costs O(HW) whatever
-                 the bandwidths. Its output is rescaled to the exact Gaussian
-                 sums on a fixed-size pixel sample and its self term removed.
-                 It is an approximation: the tests bound its label agreement
-                 with and marginal distance from ``dense`` on
-                 synthetic-corpus images. The spatial term is exact: the
-                 product of two 1-D Gaussian matrices, G_y @ Q @ G_x, less
-                 the self term, taken over the matrices' bands (weights
-                 below e^-50 are left out).
-* ``dense``   -- exact O((HW)^2) pairwise sums over the full kernel matrix;
-                 limited by the kernel's memory. The tests use it on small
-                 images as the equivalence oracle.
+Messages come from one engine, built once per image. The bilateral term is
+a Gaussian filter on a 5-D permutohedral lattice (Adams, Baek & Davis 2010;
+Kraehenbuehl & Koltun 2011) over position and colour, so an iteration costs
+O(HW) whatever the bandwidths. Its output is rescaled to the exact Gaussian
+sums on a fixed-size pixel sample and its self term removed. It is an
+approximation: the tests bound its label agreement with and marginal
+distance from the exact O((HW)^2) pairwise sums over the full kernel matrix
+on synthetic-corpus images. That dense oracle lives beside the tests, in
+``tests/conftest.py``. The spatial term is exact: the product of two 1-D
+Gaussian matrices, G_y @ Q @ G_x, less the self term, taken over the
+matrices' bands (weights below e^-50 are left out).
 
 Inference is deterministic: fixed iteration count, no randomness. Each
 update is a per-pixel softmax in which the marginals below e^-600 of their
@@ -40,10 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxSet, bilinear_resize, box_interior_mask
+from .core import IGNORE, BoxSet, bilinear_resize, box_interior_mask
 
-# Largest kernel matrix (entries) the dense engine will allocate.
-_DENSE_LIMIT = 25_000_000
 # Pixels whose exact Gaussian sums calibrate the bilateral lattice: a fixed
 # count, so the calibration costs O(HW) at any image size.
 _CALIBRATION_PIXELS = 64
@@ -55,6 +45,13 @@ _MAX_FEATURE_STEP = 8.0
 # with theta_gamma = 3 at 256^2 and 512^2, blocks of 32 or 64 rows took a
 # tenth of the dense product's time and blocks of 128 four times as long as 64.
 _SPATIAL_BLOCK = 64
+# The ranges of the kernel weights and bandwidths, inside which float64 holds
+# the kernels' arithmetic. Past them 2 theta^2 underflows to 0 or overflows, or
+# a weighted message sum overflows, and the marginals turn NaN. Past the
+# bandwidth bounds the Gaussians change no further anyway: below, they are 0
+# off the diagonal; above, 1 everywhere.
+_WEIGHT_RANGE = (0.0, 1e100)
+_BANDWIDTH_RANGE = (1e-100, 1e100)
 # Unary scores are floored here before the negative log, so that a zero score
 # still costs a finite energy.
 _UNARY_FLOOR = 1e-5
@@ -82,10 +79,9 @@ class CrfParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            if name.startswith("w") and value < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-            if name.startswith("theta") and value <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            low, high = _WEIGHT_RANGE if name.startswith("w") else _BANDWIDTH_RANGE
+            if not low <= value <= high:
+                raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value}")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
 
@@ -108,6 +104,8 @@ def build_unary(
     a = np.asarray(attention, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"attention must be (h, w), got {a.shape}")
+    if not (a.min() >= 0.0 and a.max() <= 1.0):  # written so that NaN fails too
+        raise ValueError("attention must lie in [0, 1]")
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
     h, w = boxes.image_height, boxes.image_width
@@ -161,30 +159,6 @@ def _pixel_features(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h, w, _ = image.shape
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
     return np.stack([ys.ravel(), xs.ravel()], axis=1), image.reshape(h * w, 3).astype(np.float64)
-
-
-def _kernel_matrix(image: np.ndarray, params: CrfParams) -> np.ndarray:
-    """Full (HW, HW) pairwise kernel with a zeroed diagonal."""
-    pos, col = _pixel_features(image)
-    n = pos.shape[0]
-    inv_a = 1.0 / (2.0 * params.theta_alpha**2)
-    inv_b = 1.0 / (2.0 * params.theta_beta**2)
-    inv_g = 1.0 / (2.0 * params.theta_gamma**2)
-    k = np.empty((n, n), dtype=np.float64)
-    block = max(1, (4 << 20) // max(n, 1))
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        # Per-coordinate outer differences, summed in coordinate order. A zero
-        # weight's term is skipped: it would add exact zeros.
-        dpos = (pos[s:e, None, 0] - pos[None, :, 0]) ** 2 + (pos[s:e, None, 1] - pos[None, :, 1]) ** 2
-        k[s:e] = params.w2 * np.exp(-dpos * inv_g)
-        if params.w1 > 0.0:
-            dcol = (col[s:e, None, 0] - col[None, :, 0]) ** 2
-            dcol += (col[s:e, None, 1] - col[None, :, 1]) ** 2
-            dcol += (col[s:e, None, 2] - col[None, :, 2]) ** 2
-            k[s:e] += params.w1 * np.exp(-dpos * inv_a - dcol * inv_b)
-    np.fill_diagonal(k, 0.0)
-    return k
 
 
 def _enclosing_simplices(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -382,49 +356,27 @@ def _lattice_messages(image: np.ndarray, params: CrfParams):
     return messages
 
 
-def mean_field(
-    unary: np.ndarray,
-    image: np.ndarray,
-    params: CrfParams,
-    method: str = "lattice",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run mean-field inference; returns (label map, final marginals).
+def mean_field(unary: np.ndarray, image: np.ndarray, params: CrfParams) -> tuple[np.ndarray, np.ndarray]:
+    """Run mean-field inference; returns (uint8 label map, final marginals).
 
-    ``method`` picks the message engine: "lattice" (permutohedral lattice) or
-    "dense" (full kernel matrix). The marginals start as the softmax of the
-    negated potentials and take ``params.iterations`` deterministic updates.
-    Marginals below e^-600 of their pixel's largest are set to 0.
+    The marginals start as the softmax of the negated potentials and take
+    ``params.iterations`` deterministic updates. Marginals below e^-600 of
+    their pixel's largest are set to 0.
     """
     u = np.asarray(unary, dtype=np.float64)
     img = np.asarray(image)
-    if u.ndim != 3 or u.shape[0] < 2:
-        raise ValueError(f"unary must be (L+1, H, W) with L >= 1, got {u.shape}")
+    # Labels are uint8 and 255 is IGNORE, so at most 254 classes.
+    if u.ndim != 3 or not 2 <= u.shape[0] <= IGNORE:
+        raise ValueError(f"unary must be (L+1, H, W) with 1 <= L <= {IGNORE - 1}, got {u.shape}")
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ValueError("image must be uint8 with shape (H, W, 3)")
     if img.shape[:2] != u.shape[1:]:
         raise ValueError(f"image {img.shape[:2]} and unary {u.shape[1:]} resolutions differ")
     if not (u.min() >= 0.0 and u.max() <= 1.0):  # written so that NaN fails too
         raise ValueError("unary scores must lie in [0, 1]")
-    nl, h, w = u.shape
     psi = _unary_potentials(u)
-
-    if method == "lattice":
-        messages = _lattice_messages(img, params)
-    elif method == "dense":
-        if (h * w) ** 2 > _DENSE_LIMIT:
-            raise ValueError(
-                f"dense engine would need a {h * w}x{h * w} kernel; use the lattice engine"
-            )
-        k = _kernel_matrix(img, params)
-
-        def messages(q):
-            return (q.reshape(nl, -1) @ k).reshape(nl, h, w)
-
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    messages = _lattice_messages(img, params)
     q = _update(psi, np.zeros_like(psi))  # softmax of negated potentials
     for _ in range(params.iterations):
         q = _update(psi, messages(q))
     return q.argmax(axis=0).astype(np.uint8), q
-

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad, max_relative_error, random_head
+from conftest import dense_mean_field, finite_difference_grad, max_relative_error, random_head
 
 from bana import clshead, fileio, metrics, pipeline
 from bana.bgattn import attention_map, bap_pool, extract_queries
@@ -213,13 +213,13 @@ def test_criterion_5_crf_correctness(pipeline_runs, monkeypatch):
     worst_agree, worst_dq, spatial_dq = 1.0, 0.0, 0.0
     for unary, image in _labels_stage_crf_inputs(cfg, ["0000", "0001", "0002", "0003"], monkeypatch):
         for params in (cfg.crf_params(), CrfParams()):
-            y_lat, q_lat = mean_field(unary, image, params, method="lattice")
-            y_ref, q_ref = mean_field(unary, image, params, method="dense")
+            y_lat, q_lat = mean_field(unary, image, params)
+            y_ref, q_ref = dense_mean_field(unary, image, params)
             worst_agree = min(worst_agree, float((y_lat == y_ref).mean()))
             worst_dq = max(worst_dq, float(np.abs(q_lat - q_ref).mean()))
             spatial = dataclasses.replace(params, w1=0.0)
-            _, q_lat = mean_field(unary, image, spatial, method="lattice")
-            _, q_ref = mean_field(unary, image, spatial, method="dense")
+            _, q_lat = mean_field(unary, image, spatial)
+            _, q_ref = dense_mean_field(unary, image, spatial)
             spatial_dq = max(spatial_dq, float(np.abs(q_lat - q_ref).max()))
     ok &= worst_agree >= 0.995 and worst_dq <= 5e-3 and spatial_dq <= 1e-10
     # (c) marginals are a valid distribution after every iteration

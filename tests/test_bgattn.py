@@ -71,6 +71,14 @@ class TestAttentionMap:
         a = attention_map(f, extract_queries(f, mask, 1), boxes)
         assert a[0, 2] == pytest.approx(1.0)
 
+    def test_parallel_vectors_score_at_most_one(self):
+        # The rounded cosine of a vector with itself can be 1 + 2^-52; the map
+        # is a score in [0, 1], and build_unary rejects anything past 1.
+        boxes = _grid(4, 4, BBox(1, 0, 0, 4, 4))
+        for v in np.random.default_rng(0).normal(size=(20, 8)):
+            f = np.broadcast_to(v[:, None, None], (8, 4, 4))
+            assert attention_map(f, v[None], boxes).max() <= 1.0
+
     def test_orthogonal_vector_scores_zero(self):
         f = np.zeros((2, 1, 2))
         f[:, 0, 0] = [1.0, 0.0]

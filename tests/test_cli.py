@@ -3,12 +3,16 @@
 import dataclasses
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bana import fileio
-from bana.cli import _crf_params, build_parser, main
+from bana.cli import _CRF_FLAGS, _crf_params, build_parser, main
 from bana.crf import CrfParams
 from bana.pipeline import PipelineConfig, run_pipeline
 
@@ -148,6 +152,72 @@ class TestCrf:
              "--out", str(tmp_path / "y.pgm")]
         )
         assert rc == 1
+
+    def test_more_than_254_classes_writes_nothing(self, tmp_path, capsys):
+        # Class 300 would wrap to 44 in the uint8 label map.
+        unary = np.zeros((301, 8, 8), dtype=np.float32)
+        unary[300] = 1.0
+        fileio.write_tensor(tmp_path / "u.btf", unary)
+        fileio.write_image(tmp_path / "i.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        rc = main(["crf", "--unary", str(tmp_path / "u.btf"), "--image", str(tmp_path / "i.ppm"),
+                   "--out", str(tmp_path / "y.pgm"), "--marginals", str(tmp_path / "q.btf")])
+        assert rc == 1 and "input error" in capsys.readouterr().err
+        assert not (tmp_path / "y.pgm").exists() and not (tmp_path / "q.btf").exists()
+
+
+def _float_texts():
+    """Flag values: floats of either sign from 1e-320 to 1e308, positive ones
+    twice as often and many of them ordinary, then specials and non-numbers."""
+    powers = st.integers(-320, 308).map(lambda e: float(f"1e{e}"))
+    magnitude = st.floats(1e-3, 1e3) | st.floats(1e-320, 1e308) | powers
+    positive = magnitude.map(repr)
+    junk = st.sampled_from(["0", "-0.0", "nan", "inf", "-inf", "1e309", "", "3x", "0x10"]) | st.text(max_size=4)
+    return st.one_of(positive, positive, magnitude.map(lambda v: repr(-v)), junk)
+
+
+@st.composite
+def _crf_runs(draw):
+    # One unary in five has a single channel, which the command must reject.
+    channels = 1 if draw(st.integers(0, 4)) == 0 else draw(st.integers(2, 3))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    unary = draw(st.lists(st.floats(0.0, 1.0, width=32), min_size=channels * h * w, max_size=channels * h * w))
+    image = draw(st.lists(st.integers(0, 255), min_size=3 * h * w, max_size=3 * h * w))
+    flags = [f"--iters={draw(st.integers(0, 5))}"]
+    # Up to two of the float flags per run, the rest at their defaults, so that many runs get through.
+    float_flags = [flag for flag in _CRF_FLAGS if flag != "--iters"]
+    flags += [f"{flag}={draw(_float_texts())}"
+              for flag in draw(st.lists(st.sampled_from(float_flags), max_size=2, unique=True))]
+    return (np.array(unary, dtype=np.float32).reshape(channels, h, w),
+            np.array(image, dtype=np.uint8).reshape(h, w, 3), flags)
+
+
+def _flat_run(*flags):
+    return np.full((3, 2, 2), 0.5, dtype=np.float32), np.zeros((2, 2, 3), dtype=np.uint8), list(flags)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_crf_runs())
+@example(_flat_run("--w1=1e308"))  # NaN marginals, after the label map was written
+@example(_flat_run("--w2=1e308"))
+@example(_flat_run("--theta-gamma=1e-200"))
+@example(_flat_run("--theta-gamma=1e308"))  # OverflowError, exit 2
+def test_crf_command_writes_valid_outputs_or_exits_1_with_none(run):
+    unary, image, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        fileio.write_tensor(tmp / "u.btf", unary)
+        fileio.write_image(tmp / "i.ppm", image)
+        out, marginals = tmp / "y.pgm", tmp / "q.btf"
+        rc = main(["crf", "--unary", str(tmp / "u.btf"), "--image", str(tmp / "i.ppm"),
+                   "--out", str(out), "--marginals", str(marginals)] + flags)
+        assert rc in (0, 1), flags
+        if rc == 1:
+            assert not out.exists() and not marginals.exists(), flags
+        else:
+            q = fileio.read_tensor(marginals, expected_rank=3)
+            labels = fileio.read_label_map(out)
+            assert np.all(np.isfinite(q)) and q.shape == unary.shape, flags
+            assert labels.shape == unary.shape[1:] and labels.max() < unary.shape[0], flags
 
 
 class TestCrfFlags:

@@ -41,6 +41,12 @@ class TestLogits:
         with pytest.raises(ValueError, match="dim"):
             logits(head, np.zeros(4))
 
+    def test_more_than_254_classes_rejected(self):
+        # Labels are uint8 and 255 is IGNORE: class 300 would be written as 44.
+        with pytest.raises(ValueError, match="L <= 254"):
+            ClassifierHead(weights=np.zeros((301, 3)))
+        assert ClassifierHead(weights=np.zeros((255, 3))).num_classes == 254
+
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="scale"):

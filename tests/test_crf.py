@@ -1,4 +1,4 @@
-"""Unary construction and mean-field inference, dense engine as the oracle."""
+"""Unary construction, mean-field inference and the dense CRF oracle's size guard."""
 
 import itertools
 import math
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from bana import crf, fileio
 from bana.clshead import softmax
 from bana.core import BBox, BoxSet
@@ -80,6 +81,16 @@ class TestBuildUnary:
         outside[3:12, 3:12] = False
         assert np.all(unary[1][outside] == 0.0)
         assert np.all(unary[2] == 0.0)  # no class-2 box
+
+    @pytest.mark.parametrize("tau", [0.0, 0.99])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.5, 1.5])
+    def test_attention_outside_unit_interval_rejected(self, tau, value):
+        # Thresholded, a NaN was "not background"; raw, 1.5 left the unary's range.
+        boxes = BoxSet(8, 8, [BBox(1, 0, 0, 4, 4)])
+        attention = np.ones((4, 4))
+        attention[0, 0] = value
+        with pytest.raises(ValueError, match="attention must lie in"):
+            build_unary({}, attention, boxes, num_classes=1, tau=tau)
 
     def test_resolution_mismatch_rejected(self):
         boxes = BoxSet(8, 8, [BBox(1, 0, 0, 4, 4)])
@@ -153,7 +164,7 @@ class TestMeanField:
         rng = np.random.default_rng(5)
         unary, image = _random_instance(rng, 20, 20, 3)
         params = CrfParams(theta_alpha=2.0, theta_gamma=1.0, iterations=3)
-        labels, q = mean_field(unary, image, params, method="lattice")
+        labels, q = mean_field(unary, image, params)
         np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-5)
         assert labels.shape == (20, 20)
 
@@ -171,21 +182,6 @@ class TestMeanField:
         labels, _ = mean_field(unary, _flat_image(2, 2), CrfParams(w1=0.0, w2=0.0, iterations=1))
         assert np.all(labels == 0)
 
-    def test_dense_size_guard(self, monkeypatch):
-        # 71^2 pixels need a 5041^2 kernel, past the limit: the engine must
-        # refuse before it builds (or allocates) the kernel.
-        assert (71 * 71) ** 2 > crf._DENSE_LIMIT
-        unary = np.full((2, 71, 71), 0.5)
-        monkeypatch.setattr(crf, "_kernel_matrix", lambda *a: pytest.fail("kernel built"))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="use the lattice engine"):
-                mean_field(unary, _flat_image(71, 71), CrfParams(iterations=1), method="dense")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
     def test_input_validation(self):
         params = CrfParams()
         with pytest.raises(ValueError, match="unary"):
@@ -194,9 +190,17 @@ class TestMeanField:
             mean_field(np.zeros((2, 4, 4)), _flat_image(5, 4), params)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             mean_field(np.full((2, 4, 4), 1.5), _flat_image(4, 4), params)
-        for retired in ("windowed", "auto"):
-            with pytest.raises(ValueError, match="unknown method"):
-                mean_field(np.full((2, 4, 4), 0.5), _flat_image(4, 4), params, method=retired)
+
+    def test_more_than_254_classes_rejected(self):
+        # Labels are uint8 and 255 is IGNORE: class 300 would be written as 44.
+        unary = np.zeros((301, 2, 2))
+        unary[300] = 1.0
+        with pytest.raises(ValueError, match="L <= 254"):
+            mean_field(unary, _flat_image(2, 2), CrfParams(iterations=1))
+        unary = np.zeros((255, 2, 2))
+        unary[254] = 1.0
+        labels, _ = mean_field(unary, _flat_image(2, 2), CrfParams(iterations=1))
+        assert np.all(labels == 254)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_unary_rejected(self, value):
@@ -216,6 +220,37 @@ class TestMeanField:
     def test_non_finite_params_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             CrfParams(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("w1", 1e308), ("w2", 1e308), ("theta_gamma", 1e-200),
+                                             ("theta_gamma", 1e308)])
+    def test_params_past_float64_range_rejected(self, name, value):
+        # Each made the marginals NaN, or 2 theta^2 overflow.
+        with pytest.raises(ValueError, match=f"^{name} must be in"):
+            CrfParams(**{name: value})
+
+    def test_params_at_their_range_bounds_give_distributions(self):
+        unary, image = _random_instance(np.random.default_rng(8), 6, 5, 3)
+        weights, bandwidths = crf._WEIGHT_RANGE, crf._BANDWIDTH_RANGE
+        for values in itertools.product(weights, weights, bandwidths, bandwidths, bandwidths):
+            _, q = mean_field(unary, image, CrfParams(*values, iterations=3))
+            assert np.all(np.isfinite(q)) and q.min() >= 0.0, values
+            np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-5)
+
+
+def test_dense_oracle_size_guard(monkeypatch):
+    # 71^2 pixels need a 5041^2 kernel, past the limit: the oracle must refuse
+    # before it builds (or allocates) the kernel.
+    assert (71 * 71) ** 2 > conftest.DENSE_LIMIT
+    unary = np.full((2, 71, 71), 0.5)
+    monkeypatch.setattr(conftest, "kernel_matrix", lambda *a: pytest.fail("kernel built"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense oracle would need"):
+            conftest.dense_mean_field(unary, _flat_image(71, 71), CrfParams(iterations=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_lattice_vertex_codes_match_their_definition():
@@ -309,7 +344,7 @@ def _instance(h, w, colour=None, theta=3.0, w1=4.0, w2=3.0):
 @example(_instance(6, 8, w2=0.0))
 def test_lattice_marginals_are_distributions(instance):
     unary, image, params = instance
-    labels, q = mean_field(unary, image, params, method="lattice")
+    labels, q = mean_field(unary, image, params)
     assert np.all(np.isfinite(q)) and q.min() >= 0.0
     np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-5)
     assert labels.shape == unary.shape[1:]
