@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clshead, fileio, metrics, pipeline, synth
-from .core import IGNORE
+from .core import IGNORE, MAX_CLASSES
 from .crf import CrfParams, mean_field
 
 
@@ -62,6 +62,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _class_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_CLASSES:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_CLASSES}, got {value}")
+    return value
+
+
 def _add_settings_flags(p: argparse.ArgumentParser, fields_of: type, flags: dict[str, str]) -> None:
     """Add ``flags``, each defaulting to the field of the dataclass ``fields_of`` that it names."""
     defaults = {f.name: f.default for f in dataclasses.fields(fields_of)}
@@ -83,7 +90,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--images", type=_positive_int, default=50)
     p.add_argument("--size", type=_positive_int, default=64)
-    p.add_argument("--classes", type=_positive_int, default=3)
+    p.add_argument("--classes", type=_class_count, default=3)
 
     p = sub.add_parser("run", help="run the configured pipeline stages")
     p.add_argument("--config", required=True)
@@ -94,7 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features-dir", required=True)
     p.add_argument("--boxes-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=_positive_int, default=None, help="number of object classes (default: inferred)")
+    p.add_argument("--classes", type=_class_count, default=None, help="number of object classes (default: inferred)")
 
     p = sub.add_parser("labels", help="generate pseudo labels for one image")
     p.add_argument("--features", required=True)
@@ -118,7 +125,7 @@ def build_parser() -> _Parser:
     p.add_argument("--labels-crf-dir", required=True)
     p.add_argument("--labels-ret-dir", required=True)
     p.add_argument("--out-head", required=True)
-    p.add_argument("--classes", type=_positive_int, default=None)
+    p.add_argument("--classes", type=_class_count, default=None)
     p.add_argument("--loss-csv", default=None)
     p.add_argument("--dump-confidence-dir", default=None,
                    help="write per-image confidence maps as .btf while training")
@@ -128,7 +135,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score predictions against references")
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--ref-dir", required=True)
-    p.add_argument("--classes", type=_positive_int, required=True)
+    p.add_argument("--classes", type=_class_count, required=True)
     p.add_argument("--out", default=None, help="write the JSON report here as well")
 
     for command, flags in _STAGE_FLAGS.items():

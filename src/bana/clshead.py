@@ -18,13 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IGNORE, as_feature_map, unit_norm
+from .core import MAX_CLASSES, as_feature_map, unit_norm
 from . import fileio
 
 MODES = ("dot", "cosine")
 # SGD settings of both heads.
 MOMENTUM = 0.9
 WEIGHT_DECAY = 5e-4
+# The classification head's learning rate drops tenfold from this epoch on.
+LR_DROP_EPOCH = 40
 # Samples per step of the classification head (the segmentation head steps
 # once per image).
 BATCH_SIZE = 32
@@ -38,9 +40,8 @@ class ClassifierHead:
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        # Labels are uint8 and 255 is IGNORE, so at most 254 classes.
-        if self.weights.ndim != 2 or not 2 <= self.weights.shape[0] <= IGNORE:
-            raise ValueError(f"weights must be (L+1, C) with 1 <= L <= {IGNORE - 1}, got {self.weights.shape}")
+        if self.weights.ndim != 2 or not 1 <= self.weights.shape[0] - 1 <= MAX_CLASSES:
+            raise ValueError(f"weights must be (L+1, C) with 1 <= L <= {MAX_CLASSES}, got {self.weights.shape}")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights contain non-finite values")
         if self.mode not in MODES:
@@ -141,16 +142,19 @@ def ce_loss_and_grad(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -
     return weighted_ce_loss_and_grad(head, x, targets, np.ones(n) / n)
 
 
-def lr_schedule(lr: float | list[float], epochs: int) -> list[float]:
-    """Per-epoch learning rates from a scalar or a schedule of ``epochs`` entries,
-    each finite and > 0."""
-    schedule = [float(lr)] * epochs if isinstance(lr, (int, float)) else [float(v) for v in lr]
-    if len(schedule) != epochs:
-        raise ValueError(f"lr schedule has {len(schedule)} entries for {epochs} epochs")
-    bad = [v for v in schedule if not 0.0 < v < np.inf]  # written so that NaN fails too
-    if bad:
-        raise ValueError(f"lr must be finite and > 0, got {bad[0]}")
-    return schedule
+def check_lr(lr: float) -> float:
+    """``lr`` as a float, if it is finite and > 0."""
+    lr = float(lr)
+    if not 0.0 < lr < np.inf:  # written so that NaN fails too
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    return lr
+
+
+def sgd_step(w: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """One SGD step with momentum and L2 weight decay, the update rule of both
+    heads; returns the new weights and velocity."""
+    velocity = MOMENTUM * velocity - lr * (grad + WEIGHT_DECAY * w)
+    return w + velocity, velocity
 
 
 def sgd_train(
@@ -159,25 +163,26 @@ def sgd_train(
     targets: np.ndarray,
     *,
     epochs: int,
-    lr: float | list[float],
+    lr: float,
     seed: int,
 ) -> tuple[ClassifierHead, list[float]]:
     """Minibatch SGD with momentum and L2 weight decay, in batches of
-    ``BATCH_SIZE`` samples.
+    ``BATCH_SIZE`` samples, at rate ``lr`` and a tenth of it from epoch
+    ``LR_DROP_EPOCH`` on.
 
-    ``lr`` may be a scalar or a per-epoch schedule. The input head is left
-    untouched; a trained copy and the per-epoch mean losses are returned.
-    Fixed seed implies an identical result on every run.
+    The input head is left untouched; a trained copy and the per-epoch mean
+    losses are returned. Fixed seed implies an identical result on every run.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(targets, dtype=np.intp)
-    schedule = lr_schedule(lr, epochs)
+    lr = check_lr(lr)
     rng = np.random.default_rng(seed)
     w = head.weights.copy()
     velocity = np.zeros_like(w)
     losses = []
     n = x.shape[0]
     for epoch in range(epochs):
+        rate = lr if epoch < LR_DROP_EPOCH else lr / 10.0
         order = rng.permutation(n)
         epoch_loss = 0.0
         cur = replace(head, weights=w)
@@ -185,8 +190,7 @@ def sgd_train(
             idx = order[start : start + BATCH_SIZE]
             loss, grad = ce_loss_and_grad(cur, x[idx], t[idx])
             epoch_loss += loss * len(idx)
-            velocity = MOMENTUM * velocity - schedule[epoch] * (grad + WEIGHT_DECAY * w)
-            w = w + velocity
+            w, velocity = sgd_step(w, velocity, grad, rate)
             cur = replace(head, weights=w)
         losses.append(epoch_loss / n)
     return replace(head, weights=w), losses

@@ -8,7 +8,8 @@ Everything downstream works on three kinds of arrays:
 * RGB images:   uint8 ``(H, W, 3)``.
 
 Bounding boxes use half-open pixel intervals ``[xmin, xmax) x [ymin, ymax)``.
-Class id 0 is reserved for the background, so object classes are ``1..L``.
+Class id 0 is reserved for the background, so object classes are ``1..L``
+with ``L <= MAX_CLASSES`` (254).
 
 All functions here are pure; there is no module-level mutable state, so the
 module is safe to call from concurrent workers processing distinct images.
@@ -23,6 +24,8 @@ import numpy as np
 
 # Reserved label value for unreliable pixels (8-bit segmentation convention).
 IGNORE = 255
+# Labels are bytes and 255 is IGNORE, so object classes are 1..MAX_CLASSES.
+MAX_CLASSES = IGNORE - 1
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,8 @@ class BBox:
     ymax: int
 
     def __post_init__(self) -> None:
-        if self.class_id < 1:
-            raise ValueError(f"class_id must be >= 1 (0 is background), got {self.class_id}")
+        if not 1 <= self.class_id <= MAX_CLASSES:
+            raise ValueError(f"class_id must be in [1, {MAX_CLASSES}] (0 is background), got {self.class_id}")
         if not (0 <= self.xmin < self.xmax):
             raise ValueError(f"need 0 <= xmin < xmax, got xmin={self.xmin}, xmax={self.xmax}")
         if not (0 <= self.ymin < self.ymax):
@@ -83,9 +86,6 @@ class BoxSet:
                 )
             )
         self.boxes = clamped
-
-    def __len__(self) -> int:
-        return len(self.boxes)
 
     def class_ids(self) -> list[int]:
         """Sorted unique object class ids present in this set."""

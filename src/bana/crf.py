@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IGNORE, BoxSet, bilinear_resize, box_interior_mask
+from .core import MAX_CLASSES, BoxSet, bilinear_resize, box_interior_mask
 
 # Pixels whose exact Gaussian sums calibrate the bilateral lattice: a fixed
 # count, so the calibration costs O(HW) at any image size.
@@ -365,9 +365,8 @@ def mean_field(unary: np.ndarray, image: np.ndarray, params: CrfParams) -> tuple
     """
     u = np.asarray(unary, dtype=np.float64)
     img = np.asarray(image)
-    # Labels are uint8 and 255 is IGNORE, so at most 254 classes.
-    if u.ndim != 3 or not 2 <= u.shape[0] <= IGNORE:
-        raise ValueError(f"unary must be (L+1, H, W) with 1 <= L <= {IGNORE - 1}, got {u.shape}")
+    if u.ndim != 3 or not 1 <= u.shape[0] - 1 <= MAX_CLASSES:
+        raise ValueError(f"unary must be (L+1, H, W) with 1 <= L <= {MAX_CLASSES}, got {u.shape}")
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ValueError("image must be uint8 with shape (H, W, 3)")
     if img.shape[:2] != u.shape[1:]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clshead import MOMENTUM, WEIGHT_DECAY, ClassifierHead, logits, lr_schedule, softmax, weighted_ce_loss_and_grad
+from .clshead import ClassifierHead, check_lr, logits, sgd_step, softmax, weighted_ce_loss_and_grad
 from .core import IGNORE, as_feature_map, bilinear_resize, unit_norm, validate_label_map
 from .pseudolabel import FusedLabels
 
@@ -118,11 +118,12 @@ def train_seg_head(
     gamma: float,
     lam: float,
     epochs: int,
-    lr: float | list[float],
+    lr: float,
     seed: int,
     confidence_hook=None,
 ) -> tuple[ClassifierHead, list[float]]:
-    """SGD over (features, fused labels) images with the noise-aware loss.
+    """SGD over (features, fused labels) images with the noise-aware loss, one
+    :func:`~bana.clshead.sgd_step` per image at the constant rate ``lr``.
 
     The head scores by cosine similarity at ClassifierHead's default scale
     of 15, so its weights act as class centers in feature space. Cosine
@@ -141,12 +142,12 @@ def train_seg_head(
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    lr = check_lr(lr)
     dim = as_feature_map(samples[0][0]).shape[0]
     rng = np.random.default_rng(seed)
     w = unit_norm(rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)), axis=1)
     head = ClassifierHead(weights=w, mode="cosine")
     velocity = np.zeros_like(head.weights)
-    schedule = lr_schedule(lr, epochs)
 
     losses = []
     n = len(samples)
@@ -159,8 +160,8 @@ def train_seg_head(
             if confidence_hook is not None and report.confidence is not None:
                 confidence_hook(epoch, int(i), report.confidence)
             epoch_loss += report.total
-            velocity = MOMENTUM * velocity - schedule[epoch] * (grad + WEIGHT_DECAY * head.weights)
-            head = replace(head, weights=unit_norm(head.weights + velocity, axis=1))
+            w, velocity = sgd_step(head.weights, velocity, grad, lr)
+            head = replace(head, weights=unit_norm(w, axis=1))
         losses.append(epoch_loss / n)
     return head, losses
 

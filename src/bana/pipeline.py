@@ -33,13 +33,11 @@ import numpy as np
 from . import clshead, fileio, metrics, nal
 from .bgattn import attention_map, bap_pool, extract_queries
 from .clshead import ClassifierHead, cam, init_head, sgd_train
-from .core import IGNORE, BoxSet, build_background_mask, nearest_resize, resize_boxes
+from .core import IGNORE, MAX_CLASSES, BoxSet, build_background_mask, nearest_resize, resize_boxes
 from .crf import CrfParams, build_unary, mean_field
 from .pseudolabel import FusedLabels, extract_prototypes, filling_rate, fuse_labels, retrieval_labels
 
 STAGES = ("train-head", "labels", "nal-train", "eval")
-# The stage-1 head's learning rate drops tenfold from this epoch on.
-HEAD_LR_DROP_EPOCH = 40
 
 
 # The JSON types each config field's annotation accepts, compared by type() so
@@ -54,7 +52,7 @@ class PipelineError(ValueError):
 @dataclass
 class PipelineConfig:
     """Paths, stage toggles, and every numeric setting a run may vary; the
-    fixed ones are module constants (``HEAD_LR_DROP_EPOCH``, ``clshead.MOMENTUM``, ...).
+    fixed ones are module constants (``clshead.LR_DROP_EPOCH``, ``clshead.MOMENTUM``, ...).
 
     The CRF defaults here are sized for small synthetic corpora; the
     stand-alone ``bana crf`` command keeps the conventional full-image
@@ -97,23 +95,23 @@ class PipelineConfig:
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for rule, ok, keys in (
-            (">= 1", lambda v: v >= 1, ("num_classes", "jobs", "grid_size_train", "head_epochs", "grid_size_label",
-                                        "gamma", "seg_epochs")),
+            (f"in [1, {MAX_CLASSES}]", lambda v: 1 <= v <= MAX_CLASSES, ("num_classes",)),
+            (">= 1", lambda v: v >= 1, ("jobs", "grid_size_train", "head_epochs", "grid_size_label", "gamma",
+                                        "seg_epochs")),
             (">= 0", lambda v: v >= 0, ("seed", "lam", "dump_confidence_every")),
+            ("> 0", lambda v: v > 0, ("head_lr", "seg_lr")),
             ("in [0, 1]", lambda v: 0 <= v <= 1, ("attn_threshold",)),
         ):
             for key in keys:
                 value = getattr(self, key)
                 if value is not None and not ok(value):  # None: num_classes unset
                     raise ValueError(f"{key} must be {rule}, got {value!r}")
-        # CrfParams and lr_schedule check the rest; their messages start with
-        # the field name, which the prefix turns into the config key.
-        for prefix, build in (("crf_", self.crf_params), ("head_", lambda: clshead.lr_schedule(self.head_lr, 1)),
-                              ("seg_", lambda: clshead.lr_schedule(self.seg_lr, 1))):
-            try:
-                build()
-            except ValueError as e:
-                raise ValueError(f"{prefix}{e}") from None
+        # CrfParams checks the CRF settings; its messages start with the field
+        # name, which the prefix turns into the config key.
+        try:
+            self.crf_params()
+        except ValueError as e:
+            raise ValueError(f"crf_{e}") from None
 
     def crf_params(self) -> CrfParams:
         """The CrfParams whose field ``x`` is this config's ``crf_x``."""
@@ -183,8 +181,8 @@ def resolve_num_classes(num_classes: int | None, meta: Path | None, class_ids: I
         return num_classes
     if meta is not None and meta.exists():
         n = fileio.read_json(meta, {"num_classes": (int,)})["num_classes"]
-        if n < 1:
-            raise fileio.FileFormatError(f"{meta}: num_classes must be >= 1, got {n}")
+        if not 1 <= n <= MAX_CLASSES:
+            raise fileio.FileFormatError(f"{meta}: num_classes must be in [1, {MAX_CLASSES}], got {n}")
         return n
     top = max(class_ids, default=0)
     if top < 1:
@@ -225,8 +223,9 @@ def collect_training_samples(
 def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes: int, *, grid_size: int,
                epochs: int, lr: float, seed: int) -> tuple[ClassifierHead, list[float]]:
     """Stage 1: fit the (L+1)-way head on every image's pooled box features and
-    background queries for ``epochs`` epochs at rate ``lr``, a tenth of it from
-    epoch ``HEAD_LR_DROP_EPOCH`` on; returns the head and per-epoch losses."""
+    background queries with :func:`~bana.clshead.sgd_train` for ``epochs`` epochs
+    at rate ``lr``, which that function drops tenfold from epoch
+    ``clshead.LR_DROP_EPOCH`` on; returns the head and per-epoch losses."""
     xs, ys = [], []
     for image_id in ids:
         f = fileio.read_tensor(features_dir / f"{image_id}.btf", expected_rank=3)
@@ -237,8 +236,7 @@ def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes:
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     head = init_head(num_classes, x.shape[1], seed=seed)
-    schedule = [lr if e < HEAD_LR_DROP_EPOCH else lr / 10.0 for e in range(epochs)]
-    return sgd_train(head, x, y, epochs=epochs, lr=schedule, seed=seed)
+    return sgd_train(head, x, y, epochs=epochs, lr=lr, seed=seed)
 
 
 def run_train_head_stage(cfg: PipelineConfig) -> Path:
@@ -423,12 +421,16 @@ def label_confusion(pred_dir: Path, ref_dir: Path, ids: list[str], num_classes: 
     n = num_classes + 1
     cm = np.zeros((n, n), dtype=np.int64)
     for image_id in ids:
-        pred = fileio.read_label_map(pred_dir / f"{image_id}.pgm", num_classes)
-        ref = fileio.read_label_map(ref_dir / f"{image_id}.pgm", num_classes)
+        pred_path, ref_path = pred_dir / f"{image_id}.pgm", ref_dir / f"{image_id}.pgm"
+        pred = fileio.read_label_map(pred_path, num_classes)
+        ref = fileio.read_label_map(ref_path, num_classes)
         if claimed_only:
             ref = np.where(pred == IGNORE, IGNORE, ref)
             pred = np.where(pred == IGNORE, 0, pred)
-        cm += metrics.confusion(pred, ref, num_classes)
+        try:
+            cm += metrics.confusion(pred, ref, num_classes)
+        except ValueError as e:  # shapes that differ, or IGNORE in the prediction
+            raise ValueError(f"{pred_path} against {ref_path}: {e}") from None
     return cm
 
 
@@ -534,7 +536,6 @@ def noise_robustness_experiment(
     cfg: PipelineConfig,
     *,
     noise_frac: float = 0.2,
-    disputed_class: int | None = None,
     variants: tuple[str, ...] = ("nal", "ignore", "plain"),
 ) -> dict:
     """Train the segmentation head under injected label noise, three ways.
@@ -544,22 +545,21 @@ def noise_robustness_experiment(
     * ``plain``  -- ordinary cross-entropy on the (noisy) CRF labels
       everywhere, with no fusion and no weighting.
 
-    All variants share the seed, the init, and the same corrupted labels;
-    returns their scores (:func:`bana.metrics.score`) against the clean
-    ground truth, evaluated at image resolution.
+    All variants share the seed, the init, and the same corrupted labels,
+    whose disputed class is the highest one, L; returns their scores
+    (:func:`bana.metrics.score`) against the clean ground truth, evaluated at
+    image resolution.
     """
     corpus, labels_dir = Path(cfg.corpus_dir), Path(cfg.out_dir) / "labels"
     ids = stage_ids(corpus / "features", ".btf", "nal-train")
     num_classes = _corpus_num_classes(cfg, corpus, ids)
     samples = _load_seg_samples(corpus / "features", labels_dir / "crf", labels_dir / "ret", ids, num_classes)
-    if disputed_class is None:
-        disputed_class = num_classes
 
     noisy = []
     for i, (f, fused) in enumerate(samples):
         rng = np.random.default_rng([cfg.seed, 7700 + i])
         noisy.append((f, inject_disagreement_noise(
-            fused, disputed_class=disputed_class, noise_frac=noise_frac,
+            fused, disputed_class=num_classes, noise_frac=noise_frac,
             num_classes=num_classes, rng=rng,
         )))
 
@@ -569,7 +569,7 @@ def noise_robustness_experiment(
     if not runs.keys() >= set(variants):
         raise ValueError(f"unknown variants {sorted(set(variants) - runs.keys())}; valid variants are {list(runs)}")
     gts = [fileio.read_label_map(corpus / "gt" / f"{image_id}.pgm", num_classes) for image_id in ids]
-    result = {"disputed_class": disputed_class, "noise_frac": noise_frac}
+    result = {"disputed_class": num_classes, "noise_frac": noise_frac}
     for name, (train_samples, lam) in runs.items():
         if name in variants:
             head = nal.train_seg_head(train_samples, num_classes, **{**_seg_settings(cfg), "lam": lam})[0]

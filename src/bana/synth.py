@@ -36,6 +36,9 @@ _CLASS_COLORS = np.array(
     ],
     dtype=np.float64,
 )
+# Smallest image side: each slot of the 2x2 partition must hold a shape of at
+# least 3x3 pixels one pixel in from its edge.
+MIN_SIZE = 8
 
 
 def _class_directions(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,17 +113,22 @@ def synth_corpus(
     Layout: images/ID.ppm, boxes/ID.json, gt/ID.pgm, features/ID.btf, and a
     meta.json holding the manifest. Shapes never overlap (one slot of a 2x2
     partition each), so every ground-truth pixel lies inside at most one box.
+    Every setting is checked before any directory is created.
     """
-    if size > 128:
-        raise ValueError("corpus images are capped at 128x128")
+    if not MIN_SIZE <= size <= 128:
+        raise ValueError(f"size must be in [{MIN_SIZE}, 128], got {size}")
     if size % feat_stride != 0:
         raise ValueError(f"size {size} must be a multiple of feat_stride {feat_stride}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if num_classes < 1:
+        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    master = np.random.default_rng(seed)
+    directions = _class_directions(num_classes, feat_dim, master)
+
     out = Path(out_dir)
     for sub in ("images", "boxes", "gt", "features"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-
-    master = np.random.default_rng(seed)
-    directions = _class_directions(num_classes, feat_dim, master)
 
     ids = []
     half = size // 2

@@ -220,6 +220,108 @@ def test_crf_command_writes_valid_outputs_or_exits_1_with_none(run):
             assert labels.shape == unary.shape[1:] and labels.max() < unary.shape[0], flags
 
 
+@st.composite
+def _int_texts(draw, typical):
+    """Flag values: ints from ``typical`` three times in five, else any int or short text."""
+    kind = draw(st.sampled_from(["typical", "typical", "typical", "int", "text"]))
+    return draw(st.text(max_size=4)) if kind == "text" else str(draw(typical if kind == "typical" else st.integers()))
+
+
+@st.composite
+def _synth_runs(draw):
+    images = draw(st.integers(1, 3))
+    flags = [f"--images={images}"]
+    for flag, typical in [("--size", st.integers(1, 34).map(lambda k: 4 * k)), ("--seed", st.integers(-2, 2**64)),
+                          ("--classes", st.integers(1, 9))]:
+        if draw(st.booleans()):  # else the flag keeps its default
+            flags.append(f"{flag}={draw(_int_texts(typical))}")
+    return images, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(_synth_runs())
+@example((2, ["--images=2", "--size=4"]))  # an empty disk in a 2x2 slot, after the directories were made
+@example((2, ["--images=2", "--seed=-1"]))  # numpy's seed error, after the directories were made
+@example((1, ["--images=1", "--classes=8"]))  # more classes than feature dimensions
+def test_synth_command_writes_a_readable_corpus_or_exits_1_with_none(run):
+    images, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "corpus"
+        rc = main(["synth", "--out", str(out)] + flags)
+        assert rc in (0, 1), flags
+        if rc == 1:
+            assert not out.exists(), flags
+            return
+        meta = fileio.read_json(out / "meta.json", {"ids": (list,), "num_classes": (int,), "size": (int,),
+                                                    "feat_stride": (int,)})
+        size, cells = meta["size"], meta["size"] // meta["feat_stride"]
+        assert len(meta["ids"]) == images, flags
+        for sub, suffix in [("images", ".ppm"), ("gt", ".pgm"), ("boxes", ".json"), ("features", ".btf")]:
+            assert sorted(p.name for p in (out / sub).iterdir()) == [i + suffix for i in meta["ids"]], flags
+        for image_id in meta["ids"]:
+            assert fileio.read_image(out / "images" / f"{image_id}.ppm").shape == (size, size, 3), flags
+            assert fileio.read_label_map(out / "gt" / f"{image_id}.pgm", meta["num_classes"]).shape == (size, size)
+            boxes = fileio.read_boxes(out / "boxes" / f"{image_id}.json")
+            assert (boxes.image_width, boxes.image_height) == (size, size) and boxes.boxes, flags
+            assert max(boxes.class_ids()) <= meta["num_classes"], flags
+            f = fileio.read_tensor(out / "features" / f"{image_id}.btf", expected_rank=3)
+            assert f.shape[1:] == (cells, cells), flags
+
+
+def _pgm(h, w, values):
+    return b"P5\n%d %d\n255\n" % (w, h) + bytes(values)
+
+
+@st.composite
+def _label_files(draw, shape=None):
+    """Bytes of a label map, valid (values 0..4 or 255) of ``shape`` or any
+    small shape, truncated or garbage; returns them and the shape."""
+    h, w = shape or (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    # One map in four may hold 4 and 255 as well. (sampled_from favors its first entries.)
+    wide = draw(st.sampled_from([False, False, False, True]))
+    values = st.sampled_from([0, 1, 2, 3, 4, 255]) if wide else st.integers(0, 3)
+    valid = _pgm(h, w, draw(st.lists(values, min_size=h * w, max_size=h * w)))
+    kind = draw(st.sampled_from(["valid", "valid", "valid", "truncated", "garbage"]))
+    if kind == "truncated":
+        return valid[: draw(st.integers(0, len(valid) - 1))], (h, w)
+    return (valid if kind == "valid" else draw(st.binary(max_size=24))), (h, w)
+
+
+@st.composite
+def _eval_runs(draw):
+    preds, refs = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        pred, shape = draw(_label_files())
+        preds.append(pred)
+        # The reference is missing one time in ten, else it has the prediction's
+        # shape or, half as often, a shape of its own.
+        ref_shape = draw(st.sampled_from([shape] * 6 + ["own"] * 3 + [None]))
+        refs.append(None if ref_shape is None else draw(_label_files(None if ref_shape == "own" else ref_shape))[0])
+    return preds, refs, draw(_int_texts(st.sampled_from(range(6, 0, -1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_eval_runs())
+@example(([_pgm(2, 2, [0, 1, 2, 3])], [_pgm(2, 2, [0, 1, 2, 3])], "300"))  # past 254 classes
+@example(([_pgm(2, 2, [0, 1, 255, 3])], [_pgm(2, 2, [0, 1, 2, 3])], "3"))
+@example(([_pgm(2, 2, [0, 1, 2, 3])], [_pgm(2, 3, [0] * 6)], "3"))
+def test_eval_command_exits_0_or_1(run):
+    preds, refs, classes = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "pred").mkdir()
+        (tmp / "ref").mkdir()
+        for i, (pred, ref) in enumerate(zip(preds, refs)):
+            (tmp / "pred" / f"{i:04d}.pgm").write_bytes(pred)
+            if ref is not None:
+                (tmp / "ref" / f"{i:04d}.pgm").write_bytes(ref)
+        report = tmp / "report.json"
+        rc = main(["eval", "--pred-dir", str(tmp / "pred"), "--ref-dir", str(tmp / "ref"),
+                   f"--classes={classes}", "--out", str(report)])
+        assert rc in (0, 1), run
+        assert report.exists() == (rc == 0), run
+
+
 class TestCrfFlags:
     REQUIRED = {
         "labels": ["--features", "f", "--boxes", "b", "--image", "i", "--head", "h",
@@ -452,20 +554,39 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert main(["synth", "--nope"]) == 1
 
+    @staticmethod
+    def _required(command, tmp_path):
+        """The required flags of ``command``, with synth's corpus at ``tmp_path / "c"``."""
+        return {
+            "synth": ["--out", str(tmp_path / "c")],
+            "train-head": ["--features-dir", "f", "--boxes-dir", "b", "--out", "h.btf"],
+            "nal-train": ["--features-dir", "f", "--labels-crf-dir", "c", "--labels-ret-dir", "r", "--out-head", "s.btf"],
+            "eval": ["--pred-dir", "p", "--ref-dir", "r"],
+        }[command]
+
     @pytest.mark.parametrize("command, flag, value", [
         ("synth", "--images", "0"), ("synth", "--size", "0"), ("synth", "--size", "-4"), ("synth", "--classes", "0"),
         ("train-head", "--classes", "0"), ("nal-train", "--classes", "0"), ("eval", "--classes", "0"),
     ])
     def test_counts_must_be_positive(self, tmp_path, capsys, command, flag, value):
-        required = {
-            "synth": ["--out", str(tmp_path / "c")],
-            "train-head": ["--features-dir", "f", "--boxes-dir", "b", "--out", "h.btf"],
-            "nal-train": ["--features-dir", "f", "--labels-crf-dir", "c", "--labels-ret-dir", "r", "--out-head", "s.btf"],
-            "eval": ["--pred-dir", "p", "--ref-dir", "r"],
-        }
-        assert main([command, *required[command], flag, value]) == 1
+        assert main([command, *self._required(command, tmp_path), flag, value]) == 1
         assert f"usage error: argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train-head", "nal-train", "eval"])
+    def test_class_counts_past_254_rejected(self, tmp_path, capsys, command):
+        # Labels are bytes and 255 is IGNORE, so at most 254 object classes.
+        assert main([command, *self._required(command, tmp_path), "--classes", "255"]) == 1
+        assert "usage error: argument --classes: must be <= 254, got 255" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_more_than_254_classes_in_config_writes_nothing(self, corpus, tmp_path, capsys):
+        cfg = PipelineConfig(corpus_dir=str(corpus), out_dir=str(tmp_path / "out"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**dataclasses.asdict(cfg), "num_classes": 300}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "input error: num_classes must be in [1, 254], got 300" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_integer_count_reads_like_an_int_flag(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "c"), "--images", "abc"]) == 1
@@ -493,6 +614,19 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "input error: " in capsys.readouterr().err
         assert d.is_dir() and list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("pred, ref, message", [
+        (_pgm(2, 2, [0, 1, 255, 1]), _pgm(2, 2, [0, 1, 1, 1]), "prediction contains IGNORE pixels"),
+        (_pgm(2, 2, [0, 1, 1, 1]), _pgm(2, 3, [0] * 6), "prediction (2, 2) and reference (2, 3) differ in shape"),
+    ], ids=["ignore-in-prediction", "shapes-differ"])
+    def test_eval_scoring_error_names_both_files(self, tmp_path, capsys, pred, ref, message):
+        for name, data in [("pred", pred), ("ref", ref)]:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "0000.pgm").write_bytes(data)
+        assert main(["eval", "--pred-dir", str(tmp_path / "pred"), "--ref-dir", str(tmp_path / "ref"),
+                     "--classes", "1"]) == 1
+        pred_path, ref_path = tmp_path / "pred" / "0000.pgm", tmp_path / "ref" / "0000.pgm"
+        assert f"input error: {pred_path} against {ref_path}: {message}" in capsys.readouterr().err
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
@@ -543,7 +677,8 @@ class TestMalformedJsonInputs:
         self._input_error(capsys, self._labels(corpus, tmp_path, corpus / "boxes" / "0000.json", head), sidecar)
 
     @pytest.mark.parametrize("text", [DEEP, "{}", "[]", '{"num_classes": "3"}', '{"num_classes": true}',
-                                      '{"num_classes": 0}'], ids=["deep", "empty", "list", "str", "bool", "zero"])
+                                      '{"num_classes": 0}', '{"num_classes": 255}'],
+                             ids=["deep", "empty", "list", "str", "bool", "zero", "past-254"])
     def test_bad_corpus_meta(self, corpus, tmp_path, capsys, text):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)

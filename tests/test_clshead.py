@@ -5,7 +5,9 @@ import pytest
 
 from conftest import finite_difference_grad, max_relative_error, random_head
 
+from bana import clshead
 from bana.clshead import (
+    LR_DROP_EPOCH,
     ClassifierHead,
     accuracy,
     cam,
@@ -13,8 +15,8 @@ from bana.clshead import (
     init_head,
     load_head,
     logits,
-    lr_schedule,
     save_head,
+    sgd_step,
     sgd_train,
     softmax,
 )
@@ -144,15 +146,29 @@ class TestSgdTrain:
         sgd_train(head, x, y, epochs=2, lr=0.1, seed=0)
         assert np.array_equal(head.weights, before)
 
-    def test_lr_schedule_length_checked(self):
-        head = init_head(1, 2, seed=0)
-        with pytest.raises(ValueError, match="schedule"):
-            sgd_train(head, np.zeros((2, 2)), np.array([0, 1]), epochs=3, lr=[0.1, 0.1], seed=0)
-
-    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf"), [0.1, -0.1]])
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
     def test_lr_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="lr must be finite and > 0"):
-            lr_schedule(lr, 2)
+            sgd_train(init_head(1, 2, seed=0), np.zeros((2, 2)), np.array([0, 1]), epochs=2, lr=lr, seed=0)
+
+    def test_rate_drops_tenfold_at_the_drop_epoch(self, monkeypatch):
+        rates = []
+
+        def recording_step(w, velocity, grad, lr):
+            rates.append(lr)
+            return sgd_step(w, velocity, grad, lr)
+
+        monkeypatch.setattr(clshead, "sgd_step", recording_step)
+        # Two samples make one batch, so one step per epoch.
+        sgd_train(init_head(1, 2, seed=0), np.eye(2), np.array([0, 1]), epochs=LR_DROP_EPOCH + 2, lr=0.5, seed=0)
+        assert rates == [0.5] * LR_DROP_EPOCH + [0.05] * 2
+
+    def test_sgd_step_is_momentum_with_weight_decay(self):
+        w, v, g = np.array([[1.0, -2.0]]), np.array([[0.5, 0.0]]), np.array([[2.0, 4.0]])
+        w_new, v_new = sgd_step(w, v, g, 0.1)
+        # v <- 0.9 v - lr (g + 5e-4 w), w <- w + v
+        np.testing.assert_allclose(v_new, [[0.45 - 0.1 * 2.0005, -0.1 * 3.999]], rtol=1e-15)
+        np.testing.assert_allclose(w_new, w + v_new, rtol=1e-15)
 
     def test_gaussian_init_statistics(self):
         head = init_head(40, 400, seed=0)

@@ -175,6 +175,14 @@ class TestBoxes:
         with pytest.raises(FileFormatError, match=message):
             read_boxes(path)
 
+    def test_class_past_254_names_file_and_box(self, tmp_path):
+        # Labels are bytes and 255 is IGNORE, so class 255 has no label value.
+        path = tmp_path / "b.json"
+        path.write_text('{"width": 4, "height": 4, "boxes": [{"class": 1, "xmin": 0, "ymin": 0, "xmax": 2, "ymax": 2}, '
+                        '{"class": 255, "xmin": 0, "ymin": 0, "xmax": 2, "ymax": 2}]}')
+        with pytest.raises(FileFormatError, match=f"^{path}: boxes\\[1\\]: class_id must be in \\[1, 254\\]"):
+            read_boxes(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "b.json"
         path.write_text("{nope")

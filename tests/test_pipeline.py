@@ -117,9 +117,9 @@ class TestConfig:
             PipelineConfig(corpus_dir="c", out_dir="o", seg_epochs=0)
 
     @pytest.mark.parametrize("key, value", [
-        ("num_classes", 0), ("seed", -1), ("jobs", 0), ("grid_size_train", 0), ("grid_size_label", 0),
-        ("head_epochs", 0), ("seg_epochs", 0), ("head_lr", 0.0), ("seg_lr", -1.0), ("attn_threshold", 1.5),
-        ("gamma", 0.5), ("lam", -0.1), ("dump_confidence_every", -1),
+        ("num_classes", 0), ("num_classes", 255), ("seed", -1), ("jobs", 0), ("grid_size_train", 0),
+        ("grid_size_label", 0), ("head_epochs", 0), ("seg_epochs", 0), ("head_lr", 0.0), ("seg_lr", -1.0),
+        ("attn_threshold", 1.5), ("gamma", 0.5), ("lam", -0.1), ("dump_confidence_every", -1),
     ])
     def test_range_error_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):

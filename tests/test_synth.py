@@ -96,6 +96,28 @@ class TestGuards:
         with pytest.raises(ValueError, match="128"):
             synth_corpus(tmp_path / "c", size=256)
 
+    def test_too_small_size_rejected_before_writing(self, tmp_path):
+        # A disk drawn in a 2x2 slot can be empty.
+        with pytest.raises(ValueError, match=r"^size must be in \[8, 128\], got 4"):
+            synth_corpus(tmp_path / "c", num_images=4, size=4)
+        assert not (tmp_path / "c").exists()
+
+    def test_smallest_size_writes_a_full_corpus(self, tmp_path):
+        manifest = synth_corpus(tmp_path / "c", seed=0, num_images=20, size=8)
+        for image_id in manifest["ids"]:
+            boxes = fileio.read_boxes(tmp_path / "c" / "boxes" / f"{image_id}.json")
+            assert 1 <= len(boxes.boxes) <= 3
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"num_classes": 0}, "num_classes must be >= 1, got 0"),
+        ({"num_classes": 8}, "feature dim 8 must be >= num_classes \\+ 1"),
+    ], ids=["negative-seed", "no-classes", "more-classes-than-feature-dims"])
+    def test_bad_setting_rejected_by_name_before_writing(self, tmp_path, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            synth_corpus(tmp_path / "c", num_images=2, size=16, **setting)
+        assert not (tmp_path / "c").exists()
+
     def test_stride_must_divide_size(self, tmp_path):
         with pytest.raises(ValueError, match="multiple"):
             synth_corpus(tmp_path / "c", size=30, feat_stride=4)
