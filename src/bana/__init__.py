@@ -21,7 +21,7 @@ from .bgattn import attention_map, bap_pool, extract_queries
 from .clshead import ClassifierHead, cam, ce_loss_and_grad, init_head, logits, sgd_train
 from .crf import CrfParams, build_unary, mean_field
 from .pseudolabel import FusedLabels, extract_prototypes, filling_rate, fuse_labels, retrieval_labels
-from .nal import confidence_map, correlation_maps, nal_loss_and_grad, train_seg_head
+from .nal import confidence_map, correlation_maps, nal_loss_and_grad, prepare_seg_sample, train_seg_head
 from .metrics import confusion, miou, pixel_accuracy
 from .pipeline import PipelineConfig, run_pipeline
 from .synth import synth_corpus
@@ -54,6 +54,7 @@ __all__ = [
     "confidence_map",
     "correlation_maps",
     "nal_loss_and_grad",
+    "prepare_seg_sample",
     "train_seg_head",
     "confusion",
     "miou",

@@ -11,10 +11,12 @@ evidence maps are ReLU(f(p) . w_c) over the raw (unnormalized) weights.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,9 +83,82 @@ def logits(head: ClassifierHead, x: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    # The max is exact in any order, so it is taken over a copy with ``axis``
+    # leading: numpy reduces along a short trailing axis, such as the
+    # classes of an (n, L+1) batch, several times slower.
+    top = np.swapaxes(z, axis, 0).copy().max(axis=0, keepdims=True).swapaxes(0, axis)
+    e = np.exp(z - top)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+class CosineWeights(NamedTuple):
+    """A cosine head's weight-side factors, computed once per step and shared
+    by every term scored against the same weights."""
+
+    unit: np.ndarray  # (L+1, C) unit weight rows
+    inv: np.ndarray  # (L+1,) scale / |w_c|, 0 for a zero row
+    scale: float
+
+
+def cosine_weights(weights: np.ndarray, scale: float) -> CosineWeights:
+    """The :class:`CosineWeights` of raw (L+1, C) weights at logit scale ``scale``."""
+    norms = np.linalg.norm(weights, axis=1)
+    inv = np.divide(scale, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return CosineWeights(unit_norm(weights, axis=1), inv, scale)
+
+
+def ce_kernel(
+    rows: np.ndarray, w: np.ndarray | CosineWeights, t: np.ndarray, sw: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The arithmetic of :func:`weighted_ce_loss_and_grad`, on checked inputs.
+
+    ``w`` is the raw weight matrix of a dot head, with ``rows`` the raw
+    features, or the :class:`CosineWeights` of a cosine head, with ``rows``
+    the unit features ``unit_norm(x, axis=1)``. ``t`` holds intp targets.
+    """
+    if isinstance(w, CosineWeights):
+        cos = rows @ w.unit.T  # (n, L+1)
+        z = w.scale * cos
+    else:
+        z = rows @ w.T
+    p = softmax(z, axis=1)
+    picked = (np.arange(rows.shape[0]), t)
+    loss = float(-(sw * np.log(np.maximum(p[picked], 1e-300))).sum())
+
+    dz = p
+    dz[picked] -= 1.0
+    dz *= sw[:, None]  # (n, L+1)
+    if not isinstance(w, CosineWeights):
+        return loss, dz.T @ rows
+    # d logit_c / d w_c = s / |w_c| * (xhat - cos * what_c)
+    term1 = dz.T @ rows  # (L+1, C)
+    term2 = (dz * cos).sum(axis=0)[:, None] * w.unit
+    return loss, w.inv[:, None] * (term1 - term2)
+
+
+def _kernel_inputs(
+    head: ClassifierHead, weights: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | CosineWeights]:
+    """The rows and weights :func:`ce_kernel` takes for ``head``'s mode, at ``weights``."""
+    if head.mode == "dot":
+        return x, weights
+    return unit_norm(x, axis=1), cosine_weights(weights, head.scale)
+
+
+def _check_batch(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a float64 (n, C) batch and ``targets`` as intp, if they fit ``head``."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.intp)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("need a nonempty (n, C) batch")
+    if t.shape != (x.shape[0],):
+        raise ValueError("targets must be 1-D of batch length")
+    if t.min() < 0 or t.max() > head.num_classes:
+        raise ValueError(f"targets must lie in [0, {head.num_classes}]")
+    if x.shape[1] != head.dim:
+        raise ValueError(f"feature dim {x.shape[1]} does not match head dim {head.dim}")
+    return x, t
 
 
 def weighted_ce_loss_and_grad(
@@ -94,46 +169,13 @@ def weighted_ce_loss_and_grad(
     The caller chooses the normalization through ``sample_weights``; passing
     1/n gives the plain mean cross-entropy. The gradient is exact for both
     scoring modes; in cosine mode it includes the Jacobian of the weight
-    normalization.
+    normalization. Checks its inputs, then runs :func:`ce_kernel`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.intp)
+    x, t = _check_batch(head, x, targets)
     sw = np.asarray(sample_weights, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("need a nonempty (n, C) batch")
-    if t.shape != (x.shape[0],) or sw.shape != (x.shape[0],):
-        raise ValueError("targets and sample_weights must be 1-D of batch length")
-    if t.min() < 0 or t.max() > head.num_classes:
-        raise ValueError(f"targets must lie in [0, {head.num_classes}]")
-    if x.shape[1] != head.dim:
-        raise ValueError(f"feature dim {x.shape[1]} does not match head dim {head.dim}")
-
-    # The logits of :func:`logits`, keeping the cosine factors for the gradient.
-    if head.mode == "dot":
-        z = x @ head.weights.T
-    else:
-        xhat = unit_norm(x, axis=1)
-        what = unit_norm(head.weights, axis=1)
-        cos = xhat @ what.T  # (n, L+1)
-        z = head.scale * cos
-    p = softmax(z, axis=1)
-    n = x.shape[0]
-    loss = float(-(sw * np.log(np.maximum(p[np.arange(n), t], 1e-300))).sum())
-
-    dz = p.copy()
-    dz[np.arange(n), t] -= 1.0
-    dz *= sw[:, None]  # (n, L+1)
-
-    if head.mode == "dot":
-        grad = dz.T @ x
-    else:
-        wnorm = np.linalg.norm(head.weights, axis=1)
-        # d logit_c / d w_c = s / |w_c| * (xhat - cos * what_c)
-        term1 = dz.T @ xhat  # (L+1, C)
-        term2 = (dz * cos).sum(axis=0)[:, None] * what
-        inv = np.divide(head.scale, wnorm, out=np.zeros_like(wnorm), where=wnorm > 0.0)
-        grad = inv[:, None] * (term1 - term2)
-    return loss, grad
+    if sw.shape != (x.shape[0],):
+        raise ValueError("sample_weights must be 1-D of batch length")
+    return ce_kernel(*_kernel_inputs(head, head.weights, x), t, sw)
 
 
 def ce_loss_and_grad(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -148,6 +190,17 @@ def check_lr(lr: float) -> float:
     if not 0.0 < lr < np.inf:  # written so that NaN fails too
         raise ValueError(f"lr must be finite and > 0, got {lr}")
     return lr
+
+
+@contextlib.contextmanager
+def divergence_guard():
+    """Turn a numpy overflow or invalid value inside a training loop into a
+    ValueError: weights that stop being finite mean the settings diverge."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise ValueError(f"training diverged: numpy reported {str(e)!r}") from None
 
 
 def sgd_step(w: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float) -> tuple[np.ndarray, np.ndarray]:
@@ -170,29 +223,31 @@ def sgd_train(
     ``BATCH_SIZE`` samples, at rate ``lr`` and a tenth of it from epoch
     ``LR_DROP_EPOCH`` on.
 
-    The input head is left untouched; a trained copy and the per-epoch mean
-    losses are returned. Fixed seed implies an identical result on every run.
+    ``x`` and ``targets`` are checked once, up front; each step then gathers
+    its batch and runs :func:`ce_kernel` and :func:`sgd_step` on the current
+    weights, and the trained head is validated once, at the end. An overflow
+    while training is a ValueError (:func:`divergence_guard`). The input
+    head is left untouched; a trained copy and the per-epoch mean losses are
+    returned. Fixed seed implies an identical result on every run.
     """
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.intp)
+    x, t = _check_batch(head, x, targets)
     lr = check_lr(lr)
     rng = np.random.default_rng(seed)
     w = head.weights.copy()
     velocity = np.zeros_like(w)
     losses = []
     n = x.shape[0]
-    for epoch in range(epochs):
-        rate = lr if epoch < LR_DROP_EPOCH else lr / 10.0
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        cur = replace(head, weights=w)
-        for start in range(0, n, BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            loss, grad = ce_loss_and_grad(cur, x[idx], t[idx])
-            epoch_loss += loss * len(idx)
-            w, velocity = sgd_step(w, velocity, grad, rate)
-            cur = replace(head, weights=w)
-        losses.append(epoch_loss / n)
+    with divergence_guard():
+        for epoch in range(epochs):
+            rate = lr if epoch < LR_DROP_EPOCH else lr / 10.0
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, BATCH_SIZE):
+                idx = order[start : start + BATCH_SIZE]
+                loss, grad = ce_kernel(*_kernel_inputs(head, w, x[idx]), t[idx], np.ones(len(idx)) / len(idx))
+                epoch_loss += loss * len(idx)
+                w, velocity = sgd_step(w, velocity, grad, rate)
+            losses.append(epoch_loss / n)
     return replace(head, weights=w), losses
 
 

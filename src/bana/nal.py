@@ -17,11 +17,21 @@ difference checks in the tests therefore pin sigma while probing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clshead import ClassifierHead, check_lr, logits, sgd_step, softmax, weighted_ce_loss_and_grad
+from .clshead import (
+    ClassifierHead,
+    CosineWeights,
+    ce_kernel,
+    check_lr,
+    cosine_weights,
+    divergence_guard,
+    logits,
+    sgd_step,
+    softmax,
+)
 from .core import IGNORE, as_feature_map, bilinear_resize, unit_norm, validate_label_map
 from .pseudolabel import FusedLabels
 
@@ -36,12 +46,66 @@ class SegLossReport:
     confidence: np.ndarray | None = None  # the sigma map used; None when no pixel disagrees
 
 
-def correlation_maps(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
-    """(L+1, H, W) map of 1 + cos(f(p), W_c); zero-norm rows/pixels give 1."""
+@dataclass(frozen=True)
+class SegRegion:
+    """The pixels of one region (agreement or disagreement) of a training image."""
+
+    idx: np.ndarray  # (n,) flat pixel indices
+    rows: np.ndarray  # (n, C) unit_norm(x[idx], axis=1): gathered first, then normalized
+    targets: np.ndarray  # (n,) intp CRF labels
+    weights: np.ndarray | None  # (n,) 1/n on the agreement region; None where sigma weighs
+
+
+@dataclass(frozen=True)
+class SegSample:
+    """One training image of the segmentation head, checked and normalized once.
+
+    Everything here depends on the image alone, so a training step runs only
+    the arithmetic that depends on the head.
+    """
+
+    fused: FusedLabels
+    unit_features: np.ndarray  # (C, H, W) unit_norm(f, axis=0), the features' side of sigma
+    agree: SegRegion
+    disagree: SegRegion
+    max_label: int  # largest CRF label, which the head must be able to score
+
+    @property
+    def dim(self) -> int:
+        return self.unit_features.shape[0]
+
+
+def prepare_seg_sample(features: np.ndarray, fused: FusedLabels) -> SegSample:
+    """Check a (C, H, W) feature map against its fused labels and gather,
+    once, everything a training step reads from them."""
     f = as_feature_map(features)
-    if f.shape[0] != head.dim:
-        raise ValueError(f"feature channels {f.shape[0]} do not match head dim {head.dim}")
-    return 1.0 + np.einsum("kc,chw->khw", unit_norm(head.weights, axis=1), unit_norm(f, axis=0))
+    if fused.fused.shape != f.shape[1:]:
+        raise ValueError(f"fused labels {fused.fused.shape} do not match feature grid {f.shape[1:]}")
+    x = f.reshape(f.shape[0], -1).T  # (HW, C)
+    t = fused.y_crf.ravel().astype(np.intp)  # the fused label wherever the maps agree
+    regions = []
+    for k, region in enumerate((fused.agree, fused.disagree)):
+        idx = np.flatnonzero(region.ravel())
+        weights = np.ones(idx.size) / idx.size if k == 0 and idx.size else None
+        regions.append(SegRegion(idx, unit_norm(x[idx], axis=1), t[idx], weights))
+    return SegSample(fused, unit_norm(f, axis=0), *regions, max_label=int(t.max()))
+
+
+def correlation_maps(features: np.ndarray | SegSample, head: ClassifierHead | CosineWeights) -> np.ndarray:
+    """(L+1, H, W) map of 1 + cos(f(p), W_c); zero-norm rows/pixels give 1.
+
+    A raw feature map is checked and normalized here; a :class:`SegSample`
+    brings its unit features, and the :class:`~bana.clshead.CosineWeights` of
+    a training step bring the unit weight rows, so neither is normalized again.
+    """
+    if isinstance(features, SegSample):
+        unit_f = features.unit_features
+    else:
+        unit_f = unit_norm(as_feature_map(features), axis=0)
+    unit_w = head.unit if isinstance(head, CosineWeights) else unit_norm(head.weights, axis=1)
+    if unit_f.shape[0] != unit_w.shape[1]:
+        raise ValueError(f"feature channels {unit_f.shape[0]} do not match head dim {unit_w.shape[1]}")
+    return 1.0 + np.einsum("kc,chw->khw", unit_w, unit_f)
 
 
 def confidence_map(correlations: np.ndarray, y_crf: np.ndarray, gamma: float) -> np.ndarray:
@@ -61,51 +125,68 @@ def confidence_map(correlations: np.ndarray, y_crf: np.ndarray, gamma: float) ->
     if gamma < 1.0:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     top = d.max(axis=0)
-    own = np.take_along_axis(d, y[None].astype(np.intp), axis=0)[0]
+    own = d.reshape(d.shape[0], -1)[y.ravel(), np.arange(y.size)].reshape(y.shape)  # d[y[p], p] per pixel p
     ratio = np.divide(own, top, out=np.ones_like(top), where=top > 0.0)
     return ratio**gamma
 
 
 def nal_loss_and_grad(
-    features: np.ndarray,
+    sample: SegSample,
     head: ClassifierHead,
-    fused: FusedLabels,
     gamma: float,
     lam: float,
     confidence: np.ndarray | None = None,
 ) -> tuple[SegLossReport, np.ndarray]:
-    """Noise-aware loss over one image and its gradient w.r.t. the head.
+    """Noise-aware loss over one prepared image and its gradient w.r.t. the
+    weights of a cosine head.
 
-    ``confidence`` overrides the weights computed from the current head;
-    gradient probes pass a fixed map since the analytic gradient treats the
-    weights as constants. The report records the map used.
+    ``sample`` comes from :func:`prepare_seg_sample`. The head's unit rows and
+    row norms are computed once and shared by sigma and both cross-entropy
+    terms (:func:`~bana.clshead.ce_kernel`). ``confidence`` overrides the
+    weights computed from the current head: a finite, non-negative map of
+    the label grid's shape; gradient probes pass a fixed map since the
+    analytic gradient treats the weights as constants. The report records
+    the map used.
     """
-    f = as_feature_map(features)
-    if fused.fused.shape != f.shape[1:]:
-        raise ValueError(f"fused labels {fused.fused.shape} do not match feature grid {f.shape[1:]}")
-    x = f.reshape(f.shape[0], -1).T  # (HW, C)
-    t = fused.y_crf.ravel().astype(np.intp)  # the fused label wherever the maps agree
+    if head.mode != "cosine":
+        raise ValueError(f"the noise-aware loss scores by cosine, got a {head.mode!r} head")
+    if head.dim != sample.dim:
+        raise ValueError(f"feature channels {sample.dim} do not match head dim {head.dim}")
+    if sample.max_label > head.num_classes:
+        raise ValueError(f"CRF label {sample.max_label} is past the head's {head.num_classes} classes")
+    if confidence is not None:
+        confidence = np.asarray(confidence, dtype=np.float64)
+        grid = sample.fused.y_crf.shape
+        if confidence.shape != grid:
+            raise ValueError(f"confidence map {confidence.shape} does not match the label grid {grid}")
+        if not np.all(np.isfinite(confidence)):
+            raise ValueError("confidence map contains non-finite values")
+        if np.any(confidence < 0.0):
+            raise ValueError("confidence map contains negative values")
+    w = cosine_weights(head.weights, head.scale)
     # Agreement pixels weigh 1/n each; disagreement pixels sigma / sum(sigma),
     # their loss and gradient scaled by lam.
     losses, grad, sigma = [0.0, 0.0], np.zeros_like(head.weights), None
-    for k, (region, factor) in enumerate(((fused.agree, 1.0), (fused.disagree, lam))):
-        idx = np.flatnonzero(region.ravel())
-        if idx.size == 0:
-            continue
-        if k == 1:
-            sigma = confidence_map(correlation_maps(f, head), fused.y_crf, gamma) if confidence is None else confidence
-        weights = np.ones(idx.size) if k == 0 else np.asarray(sigma, dtype=np.float64).ravel()[idx]
+    agree, disagree = sample.agree, sample.disagree
+    if agree.idx.size:
+        losses[0], g = ce_kernel(agree.rows, w, agree.targets, agree.weights)
+        grad += g
+    if disagree.idx.size:
+        sigma = confidence
+        if sigma is None:
+            sigma = confidence_map(correlation_maps(sample, w), sample.fused.y_crf, gamma)
+        weights = sigma.ravel()[disagree.idx]
         total = weights.sum()
         if total > 0.0:
-            losses[k], g = weighted_ce_loss_and_grad(head, x[idx], t[idx], weights / total)
-            grad += factor * g
+            losses[1], g = ce_kernel(disagree.rows, w, disagree.targets, weights / total)
+            grad += lam * g
 
     report = SegLossReport(
         loss_agree=losses[0],
         loss_disagree=losses[1],
         total=losses[0] + lam * losses[1],
-        n_agree=int(fused.agree.sum()),
-        n_disagree=int(fused.disagree.sum()),
+        n_agree=agree.idx.size,
+        n_disagree=disagree.idx.size,
         confidence=sigma,
     )
     return report, grad
@@ -125,6 +206,11 @@ def train_seg_head(
     """SGD over (features, fused labels) images with the noise-aware loss, one
     :func:`~bana.clshead.sgd_step` per image at the constant rate ``lr``.
 
+    Each image is checked and prepared once, up front
+    (:func:`prepare_seg_sample`), so a step runs only the arithmetic that
+    depends on the weights; the trained head is validated once, at the end,
+    and an overflow while training is a ValueError
+    (:func:`~bana.clshead.divergence_guard`).
     The head scores by cosine similarity at ClassifierHead's default scale
     of 15, so its weights act as class centers in feature space. Cosine
     gradients are orthogonal to the weight rows and only ever inflate their
@@ -143,27 +229,33 @@ def train_seg_head(
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     lr = check_lr(lr)
-    dim = as_feature_map(samples[0][0]).shape[0]
+    prepared = [prepare_seg_sample(features, fused) for features, fused in samples]
     rng = np.random.default_rng(seed)
-    w = unit_norm(rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)), axis=1)
+    w = unit_norm(rng.normal(0.0, 1e-2, size=(num_classes + 1, prepared[0].dim)), axis=1)
+    # One head for the whole run: each step replaces its rows rather than
+    # building and re-validating a new head.
     head = ClassifierHead(weights=w, mode="cosine")
-    velocity = np.zeros_like(head.weights)
+    for i, sample in enumerate(prepared):
+        if sample.dim != head.dim or sample.max_label > num_classes:
+            raise ValueError(f"training image {i}: {sample.dim} feature channels and CRF labels up to "
+                             f"{sample.max_label}, but the head has {head.dim} dims and {num_classes} classes")
+    velocity = np.zeros_like(w)
 
     losses = []
-    n = len(samples)
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for i in order:
-            features, fused = samples[i]
-            report, grad = nal_loss_and_grad(features, head, fused, gamma=gamma, lam=lam)
-            if confidence_hook is not None and report.confidence is not None:
-                confidence_hook(epoch, int(i), report.confidence)
-            epoch_loss += report.total
-            w, velocity = sgd_step(head.weights, velocity, grad, lr)
-            head = replace(head, weights=unit_norm(w, axis=1))
-        losses.append(epoch_loss / n)
-    return head, losses
+    n = len(prepared)
+    with divergence_guard():
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for i in order:
+                report, grad = nal_loss_and_grad(prepared[i], head, gamma=gamma, lam=lam)
+                if confidence_hook is not None and report.confidence is not None:
+                    confidence_hook(epoch, int(i), report.confidence)
+                epoch_loss += report.total
+                w, velocity = sgd_step(head.weights, velocity, grad, lr)
+                head.weights = unit_norm(w, axis=1)
+            losses.append(epoch_loss / n)
+    return ClassifierHead(weights=head.weights, mode="cosine"), losses
 
 
 def predict_probabilities(features: np.ndarray, head: ClassifierHead, out_h: int, out_w: int) -> np.ndarray:

@@ -346,16 +346,20 @@ def run_labels_stage(cfg: PipelineConfig) -> Path:
 def _load_seg_samples(
     features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], num_classes: int
 ) -> list[tuple[np.ndarray, FusedLabels]]:
+    """Each image's features and fused labels, its two label maps resized to
+    the feature grid; maps of different shapes are an input error."""
     samples = []
     for image_id in ids:
         f = fileio.read_tensor(features_dir / f"{image_id}.btf", expected_rank=3)
-        y_crf = fileio.read_label_map(
-            _require(crf_dir / f"{image_id}.pgm", "nal-train", "CRF labels (run the labels stage first)"),
-            num_classes,
-        )
-        y_ret = fileio.read_label_map(
-            _require(ret_dir / f"{image_id}.pgm", "nal-train", "retrieval labels"), num_classes
-        )
+        crf_path = _require(crf_dir / f"{image_id}.pgm", "nal-train", "CRF labels (run the labels stage first)")
+        ret_path = _require(ret_dir / f"{image_id}.pgm", "nal-train", "retrieval labels")
+        y_crf = fileio.read_label_map(crf_path, num_classes)
+        y_ret = fileio.read_label_map(ret_path, num_classes)
+        if y_crf.shape != y_ret.shape:
+            raise PipelineError(
+                f"stage 'nal-train': label maps differ in shape: {crf_path} is {y_crf.shape[1]}x{y_crf.shape[0]}, "
+                f"{ret_path} is {y_ret.shape[1]}x{y_ret.shape[0]} (width x height)"
+            )
         fh, fw = f.shape[1], f.shape[2]
         samples.append((f, fuse_labels(nearest_resize(y_crf, fh, fw), nearest_resize(y_ret, fh, fw))))
     return samples

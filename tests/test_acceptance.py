@@ -21,7 +21,7 @@ from bana.bgattn import attention_map, bap_pool, extract_queries
 from bana.clshead import ClassifierHead, ce_loss_and_grad
 from bana.core import BBox, BoxSet, IGNORE, build_background_mask
 from bana.crf import CrfParams, mean_field
-from bana.nal import confidence_map, correlation_maps, nal_loss_and_grad
+from bana.nal import confidence_map, correlation_maps, nal_loss_and_grad, prepare_seg_sample
 from bana.pipeline import PipelineConfig, noise_robustness_experiment, run_pipeline
 from bana.pseudolabel import filling_rate, fuse_labels, retrieval_labels
 from bana.synth import synth_corpus
@@ -132,11 +132,11 @@ def test_criterion_3_gradient_oracles():
         fused = fuse_labels(y_crf, y_ret)
         # the gradient treats confidence as a constant; pin it for the probe
         sigma = confidence_map(correlation_maps(f, head), fused.y_crf, 7.0)
-        _, grad = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1, confidence=sigma)
+        _, grad = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.1, confidence=sigma)
 
         def nal_of(w):
             h = ClassifierHead(weights=w, mode="cosine", scale=head.scale)
-            return nal_loss_and_grad(f, h, fused, gamma=7.0, lam=0.1, confidence=sigma)[0].total
+            return nal_loss_and_grad(prepare_seg_sample(f, fused), h, gamma=7.0, lam=0.1, confidence=sigma)[0].total
 
         worst_nal = max(worst_nal, max_relative_error(grad, finite_difference_grad(nal_of, head.weights)))
 

@@ -322,6 +322,62 @@ def test_eval_command_exits_0_or_1(run):
         assert report.exists() == (rc == 0), run
 
 
+def _nal_train(tmp, images, flags):
+    """Run ``bana nal-train`` on one (features, CRF map bytes, retrieval map bytes)
+    triple per image under ``tmp``; returns the exit code and the head path."""
+    dirs = {name: tmp / name for name in ("features", "crf", "ret")}
+    for d in dirs.values():
+        d.mkdir()
+    for i, (features, crf, ret) in enumerate(images):
+        fileio.write_tensor(dirs["features"] / f"{i:04d}.btf", features)
+        (dirs["crf"] / f"{i:04d}.pgm").write_bytes(crf)
+        (dirs["ret"] / f"{i:04d}.pgm").write_bytes(ret)
+    head = tmp / "seg.btf"
+    rc = main(["nal-train", "--features-dir", str(dirs["features"]), "--labels-crf-dir", str(dirs["crf"]),
+               "--labels-ret-dir", str(dirs["ret"]), "--out-head", str(head), *flags])
+    return rc, head
+
+
+def _features(h, w):
+    return np.random.default_rng(h * 7 + w).normal(size=(3, h, w)).astype(np.float32)
+
+
+@st.composite
+def _nal_train_runs(draw):
+    images = []
+    for _ in range(draw(st.integers(1, 2))):
+        crf, shape = draw(_label_files())
+        # The retrieval map has the CRF map's shape two times in three, else a shape of its own.
+        ret_shape = draw(st.sampled_from([shape] * 2 + ["own"]))
+        ret = draw(_label_files(None if ret_shape == "own" else ret_shape))[0]
+        images.append((_features(draw(st.integers(1, 3)), draw(st.integers(1, 3))), crf, ret))
+    # Epochs stay small so that a run is quick; the default is 30.
+    epochs = st.sampled_from(["1", "2", "0", "-1", "", "1.5", "x"])
+    flags = [f"{flag}={draw(values)}" for flag, values in [
+        ("--gamma", _float_texts()), ("--lambda", _float_texts()), ("--lr", _float_texts()), ("--epochs", epochs),
+        ("--classes", _int_texts(st.integers(1, 5))),
+    ] if draw(st.booleans())]
+    return images, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nal_train_runs())
+@example(([(_features(2, 2), _pgm(4, 4, [0, 1, 2, 3] * 4), _pgm(2, 2, [0, 1, 2, 3]))], []))  # shapes differ
+@example(([(_features(2, 2), _pgm(2, 2, [0, 1, 255, 3]), _pgm(2, 2, [0, 1, 2, 3]))], ["--epochs=1"]))
+@example(([(_features(1, 2), _pgm(1, 4, [0, 0, 0, 0]), _pgm(1, 4, [0, 0, 0, 0]))], ["--lr=8.9e+152"]))  # overflow
+@example(([(_features(1, 2), _pgm(1, 4, [0, 0, 0, 1]), _pgm(1, 4, [0, 0, 0, 0]))], ["--lambda=1.8e+154"]))
+def test_nal_train_command_exits_0_or_1(run):
+    images, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, head = _nal_train(Path(tmp), images, flags)
+        assert rc in (0, 1), run
+        assert head.exists() == (rc == 0), run
+        if rc == 0:  # then every map parsed, and each image's two maps have one shape
+            for i in range(len(images)):
+                crf, ret = (fileio.read_label_map(Path(tmp) / kind / f"{i:04d}.pgm") for kind in ("crf", "ret"))
+                assert crf.shape == ret.shape, run
+
+
 class TestCrfFlags:
     REQUIRED = {
         "labels": ["--features", "f", "--boxes", "b", "--image", "i", "--head", "h",
@@ -627,6 +683,16 @@ class TestExitCodes:
                      "--classes", "1"]) == 1
         pred_path, ref_path = tmp_path / "pred" / "0000.pgm", tmp_path / "ref" / "0000.pgm"
         assert f"input error: {pred_path} against {ref_path}: {message}" in capsys.readouterr().err
+
+    def test_nal_train_label_maps_of_different_shapes_named(self, tmp_path, capsys):
+        crf, ret = np.zeros((64, 64), np.uint8), np.zeros((32, 32), np.uint8)
+        crf[16:48, 16:48] = ret[8:24, 8:24] = 1
+        rc, head = _nal_train(tmp_path, [(_features(16, 16), _pgm(64, 64, crf.ravel()), _pgm(32, 32, ret.ravel()))],
+                              ["--epochs=1"])
+        crf_path, ret_path = tmp_path / "crf" / "0000.pgm", tmp_path / "ret" / "0000.pgm"
+        assert rc == 1 and not head.exists()
+        assert (f"input error: stage 'nal-train': label maps differ in shape: {crf_path} is 64x64, {ret_path} "
+                "is 32x32 (width x height)") in capsys.readouterr().err
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1

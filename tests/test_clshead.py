@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad, max_relative_error, random_head
+from conftest import (
+    boundary_noise_instance,
+    finite_difference_grad,
+    max_relative_error,
+    random_head,
+    stepwise_sgd_train,
+)
 
 from bana import clshead
 from bana.clshead import (
@@ -169,6 +175,31 @@ class TestSgdTrain:
         # v <- 0.9 v - lr (g + 5e-4 w), w <- w + v
         np.testing.assert_allclose(v_new, [[0.45 - 0.1 * 2.0005, -0.1 * 3.999]], rtol=1e-15)
         np.testing.assert_allclose(w_new, w + v_new, rtol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_matches_the_stepwise_oracle(self, mode):
+        # The boundary-noise instance's pixels, past the rate drop.
+        _, _, gts, feats, num_classes = boundary_noise_instance(n_images=2)
+        x = np.concatenate([f.reshape(f.shape[0], -1).T for f in feats])
+        y = np.concatenate([gt.ravel() for gt in gts])
+        head = random_head(np.random.default_rng(1), num_classes, x.shape[1], mode)
+        a, losses_a = sgd_train(head, x, y, epochs=LR_DROP_EPOCH + 2, lr=0.1, seed=4)
+        b, losses_b = stepwise_sgd_train(head, x, y, epochs=LR_DROP_EPOCH + 2, lr=0.1, seed=4)
+        assert a.weights.tobytes() == b.weights.tobytes() and losses_a == losses_b
+
+    @pytest.mark.parametrize("x, y, match", [
+        (np.zeros((0, 2)), np.zeros(0, dtype=int), "nonempty"), (np.zeros((2, 2)), np.array([0, 2]), "targets"),
+        (np.zeros((2, 2)), np.array([0]), "targets"), (np.zeros((2, 3)), np.array([0, 1]), "feature dim 3"),
+    ])
+    def test_bad_batch_rejected_before_training(self, monkeypatch, x, y, match):
+        monkeypatch.setattr(clshead, "ce_kernel", lambda *a: pytest.fail("training started"))
+        with pytest.raises(ValueError, match=match):
+            sgd_train(init_head(1, 2, seed=0), x, y, epochs=1, lr=0.1, seed=0)
+
+    def test_diverging_rate_is_a_value_error(self):
+        x, y = self._clusters(np.random.default_rng(6), n_per=10)
+        with pytest.raises(ValueError, match="training diverged: numpy reported 'overflow encountered"):
+            sgd_train(init_head(2, 3, seed=0), x, y, epochs=3, lr=1e300, seed=0)
 
     def test_gaussian_init_statistics(self):
         head = init_head(40, 400, seed=0)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad, max_relative_error, random_head
+from conftest import (
+    boundary_noise_instance,
+    finite_difference_grad,
+    max_relative_error,
+    random_head,
+    stepwise_train_seg_head,
+)
 
 from bana.clshead import ClassifierHead, ce_loss_and_grad
 from bana.core import IGNORE
@@ -13,6 +19,7 @@ from bana.nal import (
     nal_loss_and_grad,
     predict_labels,
     predict_probabilities,
+    prepare_seg_sample,
     train_seg_head,
 )
 from bana.pseudolabel import fuse_labels
@@ -120,7 +127,8 @@ class TestNalLoss:
     def test_unit_confidence_collapses_to_mean_ce(self):
         rng = np.random.default_rng(3)
         f, head, fused = self._instance(rng)
-        report, _ = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1, confidence=np.ones(f.shape[1:]))
+        report, _ = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.1,
+                                      confidence=np.ones(f.shape[1:]))
         idx = fused.disagree
         x = f.reshape(3, -1).T[idx.ravel()]
         t = fused.y_crf[idx].astype(np.intp)
@@ -130,12 +138,13 @@ class TestNalLoss:
     def test_report_records_the_confidence_used(self):
         rng = np.random.default_rng(8)
         f, head, fused = self._instance(rng)
-        report, _ = nal_loss_and_grad(f, head, fused, gamma=3.0, lam=0.1)
+        report, _ = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=3.0, lam=0.1)
         expected = confidence_map(correlation_maps(f, head), fused.y_crf, 3.0)
         np.testing.assert_array_equal(report.confidence, expected)
         agreed = fuse_labels(fused.y_crf, fused.y_crf)
-        assert nal_loss_and_grad(f, head, agreed, gamma=3.0, lam=0.1)[0].confidence is None
-        assert nal_loss_and_grad(f, head, agreed, gamma=7.0, lam=0.1, confidence=expected)[0].confidence is None
+        assert nal_loss_and_grad(prepare_seg_sample(f, agreed), head, gamma=3.0, lam=0.1)[0].confidence is None
+        assert nal_loss_and_grad(prepare_seg_sample(f, agreed), head, gamma=7.0, lam=0.1,
+                                 confidence=expected)[0].confidence is None
 
     def test_no_disagreement_makes_lambda_irrelevant(self):
         rng = np.random.default_rng(4)
@@ -143,8 +152,8 @@ class TestNalLoss:
         head = random_head(rng, 2, 3, "cosine")
         y = rng.integers(0, 3, size=(4, 4)).astype(np.uint8)
         fused = fuse_labels(y, y.copy())
-        r1, g1 = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1)
-        r2, g2 = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=5.0)
+        r1, g1 = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.1)
+        r2, g2 = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=5.0)
         assert r1.total == r2.total == r1.loss_agree
         assert np.array_equal(g1, g2)
 
@@ -154,7 +163,7 @@ class TestNalLoss:
         head = random_head(rng, 2, 3, "cosine")
         y = rng.integers(0, 3, size=(5, 5)).astype(np.uint8)
         fused = fuse_labels(y, y.copy())
-        report, grad = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1)
+        report, grad = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.1)
         loss, grad_ref = ce_loss_and_grad(head, f.reshape(3, -1).T, y.ravel().astype(np.intp))
         assert report.total == pytest.approx(loss, rel=1e-12)
         np.testing.assert_allclose(grad, grad_ref, rtol=1e-12)
@@ -162,7 +171,7 @@ class TestNalLoss:
     def test_lambda_zero_ignores_disagreement(self):
         rng = np.random.default_rng(6)
         f, head, fused = self._instance(rng)
-        report, grad = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.0)
+        report, grad = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.0)
         assert report.total == report.loss_agree
         idx = fused.agree
         x = f.reshape(3, -1).T[idx.ravel()]
@@ -173,7 +182,8 @@ class TestNalLoss:
     def test_zero_confidence_sum_gives_zero_weighted_loss(self):
         rng = np.random.default_rng(7)
         f, head, fused = self._instance(rng)
-        report, _ = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1, confidence=np.zeros(f.shape[1:]))
+        report, _ = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.1,
+                                      confidence=np.zeros(f.shape[1:]))
         assert report.loss_disagree == 0.0
 
     def test_empty_image_rejected(self):
@@ -182,7 +192,42 @@ class TestNalLoss:
         f = rng.normal(size=(3, 0, 4))
         y = np.zeros((0, 4), dtype=np.uint8)
         with pytest.raises(ValueError, match=">= 1"):
-            nal_loss_and_grad(f, head, fuse_labels(y, y), gamma=7.0, lam=0.1)
+            nal_loss_and_grad(prepare_seg_sample(f, fuse_labels(y, y)), head, gamma=7.0, lam=0.1)
+
+    @pytest.mark.parametrize("mode, classes, dim, match", [
+        ("dot", 2, 3, "scores by cosine"), ("cosine", 1, 3, "CRF label 2 is past the head's 1 classes"),
+        ("cosine", 2, 4, "feature channels 3 do not match head dim 4"),
+    ])
+    def test_head_that_cannot_score_the_sample_rejected(self, mode, classes, dim, match):
+        rng = np.random.default_rng(14)
+        f, _, fused = self._instance(rng)
+        fused = fuse_labels(np.full(fused.y_crf.shape, 2, np.uint8), fused.y_ret)
+        with pytest.raises(ValueError, match=match):
+            nal_loss_and_grad(prepare_seg_sample(f, fused), random_head(rng, classes, dim, mode), gamma=7.0, lam=0.1)
+
+    def _grid_instance(self):
+        f, head, fused = self._instance(np.random.default_rng(13), h=4, w=4)
+        assert fused.disagree.any()
+        return prepare_seg_sample(f, fused), head
+
+    @pytest.mark.parametrize("shape", [(5, 4), (1, 20)])
+    def test_confidence_of_another_shape_rejected(self, shape):
+        sample, head = self._grid_instance()
+        with pytest.raises(ValueError, match=r"confidence map \(.*\) does not match the label grid \(4, 4\)"):
+            nal_loss_and_grad(sample, head, gamma=7.0, lam=0.1, confidence=np.ones(shape))
+
+    def test_negative_confidence_rejected(self):
+        sample, head = self._grid_instance()
+        with pytest.raises(ValueError, match="confidence map contains negative values"):
+            nal_loss_and_grad(sample, head, gamma=7.0, lam=0.1, confidence=np.full((4, 4), -1.0))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_confidence_rejected(self, value):
+        sample, head = self._grid_instance()
+        confidence = np.ones((4, 4))
+        confidence[1, 2] = value
+        with pytest.raises(ValueError, match="confidence map contains non-finite values"):
+            nal_loss_and_grad(sample, head, gamma=7.0, lam=0.1, confidence=confidence)
 
     def test_gradient_matches_finite_differences(self):
         # the analytic gradient treats the confidence weights as constants,
@@ -191,80 +236,26 @@ class TestNalLoss:
         for _ in range(25):
             f, head, fused = self._instance(rng, num_classes=int(rng.integers(1, 4)))
             sigma = confidence_map(correlation_maps(f, head), fused.y_crf, 7.0)
-            _, grad = nal_loss_and_grad(f, head, fused, gamma=7.0, lam=0.1, confidence=sigma)
+            _, grad = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.1, confidence=sigma)
 
             def loss_of(w):
                 h = ClassifierHead(weights=w, mode="cosine", scale=head.scale)
-                return nal_loss_and_grad(f, h, fused, gamma=7.0, lam=0.1, confidence=sigma)[0].total
+                sample = prepare_seg_sample(f, fused)
+                return nal_loss_and_grad(sample, h, gamma=7.0, lam=0.1, confidence=sigma)[0].total
 
             fd = finite_difference_grad(loss_of, head.weights, h=1e-3)
             assert max_relative_error(grad, fd) <= 1e-4
 
 
-def _boundary_noise_instance(n_images=12, noise_frac=0.2, feature_noise=0.35):
-    """3-class separable features; the whole object-boundary band is disputed
-    and ``noise_frac`` of it carries wrong (object-inflating) CRF labels."""
-    rng = np.random.default_rng(7)
-    num_classes, dim, h, w = 3, 8, 24, 24
-    q, _ = np.linalg.qr(rng.normal(size=(dim, num_classes + 1)))
-    mu = q.T
-
-    def one(seed):
-        r = np.random.default_rng(seed)
-        gt = np.zeros((h, w), np.uint8)
-        for k in range(2):
-            c = int(r.integers(1, num_classes + 1))
-            y0 = int(r.integers(1, 4)) + (0 if k == 0 else h // 2)
-            x0 = int(r.integers(1, w // 2 - 8)) + (0 if k == 0 else w // 2 - 4)
-            hh, ww = int(r.integers(6, 10)), int(r.integers(6, 10))
-            gt[y0 : min(y0 + hh, h - 1), x0 : min(x0 + ww, w - 1)] = c
-        f = mu[gt].transpose(2, 0, 1) + r.normal(0, feature_noise, size=(dim, h, w))
-        return gt, f
-
-    def band_of(gt, thickness=2):
-        pad = np.pad(gt, 1, mode="edge")
-        nb = np.stack([pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]])
-        band = (nb != gt).any(axis=0)
-        for _ in range(thickness - 1):
-            bp = np.pad(band, 1)
-            band = bp[:-2, 1:-1] | bp[2:, 1:-1] | bp[1:-1, :-2] | bp[1:-1, 2:] | band
-        return band
-
-    noisy, trusted, gts, feats = [], [], [], []
-    for i in range(n_images):
-        gt, f = one(100 + i)
-        band = band_of(gt)
-        r = np.random.default_rng(500 + i)
-        y_crf = gt.copy()
-        idx = np.flatnonzero(band.ravel())
-        chosen = r.choice(idx, size=int(round(noise_frac * idx.size)), replace=False)
-        present = np.unique(gt[gt > 0])
-        flat = y_crf.ravel()
-        for p in chosen:
-            options = [c for c in present if c != flat[p]] or [0]
-            flat[p] = options[int(r.integers(len(options)))]
-        y_crf = flat.reshape(h, w)
-        y_ret = y_crf.copy()
-        flat_ret = y_ret.ravel()
-        for p in idx:  # the whole band is disputed
-            flat_ret[p] = 0 if flat[p] != 0 else int(present[0])
-        y_ret = flat_ret.reshape(h, w)
-        noisy.append((f, fuse_labels(y_crf, y_ret)))
-        trusted.append((f, fuse_labels(y_crf, y_crf)))
-        gts.append(gt)
-        feats.append(f)
-    return noisy, trusted, gts, feats, num_classes
-
-
 class TestTrainSegHead:
     def test_deterministic_given_seed(self):
-        noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=3)
+        noisy, _, _, _, num_classes = boundary_noise_instance(n_images=3)
         a, _ = train_seg_head(noisy, num_classes, gamma=7.0, lam=0.1, epochs=3, lr=0.05, seed=5)
         b, _ = train_seg_head(noisy, num_classes, gamma=7.0, lam=0.1, epochs=3, lr=0.05, seed=5)
         assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_confidence_hook_reuses_the_step_confidence(self, monkeypatch):
-        noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=4)
+        noisy, _, _, _, num_classes = boundary_noise_instance(n_images=4)
         plain, plain_losses = train_seg_head(noisy, num_classes, gamma=7.0, lam=0.1, epochs=3, lr=0.05, seed=0)
         calls, dumps = [], []
         real = nal.correlation_maps
@@ -274,13 +265,42 @@ class TestTrainSegHead:
         assert len(dumps) == 12 and len(calls) == 12  # one per image step, not two
         assert head.weights.tobytes() == plain.weights.tobytes() and losses == plain_losses
 
+    @pytest.mark.parametrize("lam, hooked", [(0.1, False), (0.1, True), (0.0, False)], ids=["nal", "hook", "lam0"])
+    def test_matches_the_stepwise_oracle(self, lam, hooked):
+        noisy, _, _, _, num_classes = boundary_noise_instance()
+        runs = []
+        for train in (train_seg_head, stepwise_train_seg_head):
+            dumps = []
+            hook = (lambda epoch, i, sigma: dumps.append((epoch, i, sigma.tobytes()))) if hooked else None
+            head, losses = train(noisy, num_classes, gamma=7.0, lam=lam, epochs=5, lr=0.05, seed=3,
+                                 confidence_hook=hook)
+            runs.append((head.weights.tobytes(), losses, dumps))
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) == (5 * 12 if hooked else 0)
+
+    @pytest.mark.parametrize("setting", [{"lr": 1e300}, {"lam": 1e300}])
+    def test_diverging_settings_are_a_value_error(self, setting):
+        noisy, _, _, _, num_classes = boundary_noise_instance(n_images=2)
+        with pytest.raises(ValueError, match="training diverged: numpy reported 'overflow encountered"):
+            train_seg_head(noisy, num_classes, **{"gamma": 7.0, "lam": 0.1, "epochs": 2, "lr": 0.1, "seed": 0,
+                                                  **setting})
+
+    def test_image_the_head_cannot_score_rejected_before_training(self, monkeypatch):
+        noisy, _, _, _, num_classes = boundary_noise_instance(n_images=2)
+        monkeypatch.setattr(nal, "nal_loss_and_grad", lambda *a, **k: pytest.fail("training started"))
+        with pytest.raises(ValueError, match="training image 0: 8 feature channels and CRF labels up to 3"):
+            train_seg_head(noisy, num_classes - 1, gamma=7.0, lam=0.1, epochs=1, lr=0.1, seed=0)
+        with pytest.raises(ValueError, match="training image 1: 3 feature channels"):
+            train_seg_head([noisy[0], (noisy[1][0][:3], noisy[1][1])], num_classes, gamma=7.0, lam=0.1, epochs=1,
+                           lr=0.1, seed=0)
+
     def test_loss_decreases_on_separable_data(self):
-        noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=4)
+        noisy, _, _, _, num_classes = boundary_noise_instance(n_images=4)
         _, losses = train_seg_head(noisy, num_classes, gamma=7.0, lam=0.1, epochs=10, lr=0.05, seed=0)
         assert losses[-1] < losses[0]
 
     def test_noise_aware_beats_plain_ce_under_boundary_noise(self):
-        noisy, trusted, gts, feats, num_classes = _boundary_noise_instance()
+        noisy, trusted, gts, feats, num_classes = boundary_noise_instance()
 
         def train_and_score(samples, lam):
             head, _ = train_seg_head(samples, num_classes, gamma=7.0, lam=lam, epochs=40, lr=0.05, seed=0)
@@ -303,7 +323,7 @@ class TestTrainSegHead:
         ({"lr": -5.0}, "lr"), ({"lr": float("nan")}, "lr"),
     ])
     def test_bad_gamma_or_lambda_rejected_before_training(self, monkeypatch, setting, match):
-        noisy, _, _, _, num_classes = _boundary_noise_instance(n_images=2)
+        noisy, _, _, _, num_classes = boundary_noise_instance(n_images=2)
         monkeypatch.setattr(nal, "nal_loss_and_grad", lambda *a, **k: pytest.fail("training started"))
         with pytest.raises(ValueError, match=match):
             train_seg_head(noisy, num_classes, **{"gamma": 7.0, "lam": 0.1, "epochs": 1, "lr": 0.1, "seed": 0,
