@@ -77,6 +77,20 @@ def _add_settings_flags(p: argparse.ArgumentParser, fields_of: type, flags: dict
         p.add_argument(flag, dest=name, type=kind, default=defaults[name], help=_FLAG_HELP.get(flag))
 
 
+def _check_outputs(args, *names: str) -> None:
+    """Reject each output path ``args.<name>`` that is a directory or lies in a
+    missing one, so that a command fails before its first write, not after it."""
+    for name in names:
+        path = getattr(args, name)
+        if path is None:
+            continue
+        flag, path = "--" + name.replace("_", "-"), Path(path)
+        if not path.parent.is_dir():
+            raise ValueError(f"{flag} {path}: directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ValueError(f"{flag} {path} is a directory")
+
+
 def _crf_params(args) -> CrfParams:
     return CrfParams(**{name: getattr(args, name) for name in _CRF_FLAGS.values()})
 
@@ -165,6 +179,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_train_head(args) -> int:
+    _check_outputs(args, "out")
     features_dir, boxes_dir = Path(args.features_dir), Path(args.boxes_dir)
     ids = pipeline.stage_ids(features_dir, ".btf", "train-head")
     num_classes = pipeline.resolve_num_classes(args.classes, None, pipeline.box_class_ids(boxes_dir, ids))
@@ -178,6 +193,7 @@ def _cmd_train_head(args) -> int:
 
 
 def _cmd_labels(args) -> int:
+    _check_outputs(args, "out_crf", "out_ret", "out_fused", "out_attention", "filling_rate_csv")
     f = fileio.read_tensor(args.features, expected_rank=3)
     boxes = fileio.read_boxes(args.boxes)
     image = fileio.read_image(args.image)
@@ -199,6 +215,7 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_crf(args) -> int:
+    _check_outputs(args, "out", "marginals")
     unary = fileio.read_tensor(args.unary, expected_rank=3).astype(np.float64)
     image = fileio.read_image(args.image)
     labels, marginals = mean_field(unary, image, _crf_params(args))
@@ -209,6 +226,7 @@ def _cmd_crf(args) -> int:
 
 
 def _cmd_nal_train(args) -> int:
+    _check_outputs(args, "out_head", "loss_csv")
     features_dir, crf_dir = Path(args.features_dir), Path(args.labels_crf_dir)
     ids = pipeline.stage_ids(features_dir, ".btf", "nal-train")
     num_classes = pipeline.resolve_num_classes(args.classes, None, pipeline.label_class_ids(crf_dir, ids))
@@ -226,6 +244,7 @@ def _cmd_nal_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_outputs(args, "out")
     pred_dir = Path(args.pred_dir)
     ids = pipeline.stage_ids(pred_dir, ".pgm", "eval")
     report = metrics.score(pipeline.label_confusion(pred_dir, Path(args.ref_dir), ids, args.classes))

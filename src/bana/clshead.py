@@ -111,7 +111,7 @@ def cosine_weights(weights: np.ndarray, scale: float) -> CosineWeights:
 def ce_kernel(
     rows: np.ndarray, w: np.ndarray | CosineWeights, t: np.ndarray, sw: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """The arithmetic of :func:`weighted_ce_loss_and_grad`, on checked inputs.
+    """Sum_i sw_i * (-log softmax(z_i)[t_i]) and its weight gradient, on checked inputs.
 
     ``w`` is the raw weight matrix of a dot head, with ``rows`` the raw
     features, or the :class:`CosineWeights` of a cosine head, with ``rows``
@@ -137,15 +137,6 @@ def ce_kernel(
     return loss, w.inv[:, None] * (term1 - term2)
 
 
-def _kernel_inputs(
-    head: ClassifierHead, weights: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | CosineWeights]:
-    """The rows and weights :func:`ce_kernel` takes for ``head``'s mode, at ``weights``."""
-    if head.mode == "dot":
-        return x, weights
-    return unit_norm(x, axis=1), cosine_weights(weights, head.scale)
-
-
 def _check_batch(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``x`` as a float64 (n, C) batch and ``targets`` as intp, if they fit ``head``."""
     x = np.asarray(x, dtype=np.float64)
@@ -161,27 +152,19 @@ def _check_batch(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -> tu
     return x, t
 
 
-def weighted_ce_loss_and_grad(
-    head: ClassifierHead, x: np.ndarray, targets: np.ndarray, sample_weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Sum_i w_i * (-log softmax(logits(x_i))[t_i]) and its weight gradient.
+def ce_loss_and_grad(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch and its gradient w.r.t. the weights.
 
-    The caller chooses the normalization through ``sample_weights``; passing
-    1/n gives the plain mean cross-entropy. The gradient is exact for both
-    scoring modes; in cosine mode it includes the Jacobian of the weight
-    normalization. Checks its inputs, then runs :func:`ce_kernel`.
+    The gradient is exact for both scoring modes; in cosine mode it includes
+    the Jacobian of the weight normalization. Checks its inputs, then runs
+    :func:`ce_kernel`.
     """
     x, t = _check_batch(head, x, targets)
-    sw = np.asarray(sample_weights, dtype=np.float64)
-    if sw.shape != (x.shape[0],):
-        raise ValueError("sample_weights must be 1-D of batch length")
-    return ce_kernel(*_kernel_inputs(head, head.weights, x), t, sw)
-
-
-def ce_loss_and_grad(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient w.r.t. the weights."""
-    n = len(x)
-    return weighted_ce_loss_and_grad(head, x, targets, np.ones(n) / n)
+    if head.mode == "dot":
+        rows, w = x, head.weights
+    else:
+        rows, w = unit_norm(x, axis=1), cosine_weights(head.weights, head.scale)
+    return ce_kernel(rows, w, t, np.ones(len(t)) / len(t))
 
 
 def check_lr(lr: float) -> float:
@@ -219,9 +202,10 @@ def sgd_train(
     lr: float,
     seed: int,
 ) -> tuple[ClassifierHead, list[float]]:
-    """Minibatch SGD with momentum and L2 weight decay, in batches of
-    ``BATCH_SIZE`` samples, at rate ``lr`` and a tenth of it from epoch
-    ``LR_DROP_EPOCH`` on.
+    """Minibatch SGD with momentum and L2 weight decay of a dot-product head,
+    in batches of ``BATCH_SIZE`` samples, at rate ``lr`` and a tenth of it
+    from epoch ``LR_DROP_EPOCH`` on. A cosine head is trained by
+    :func:`bana.nal.train_seg_head`.
 
     ``x`` and ``targets`` are checked once, up front; each step then gathers
     its batch and runs :func:`ce_kernel` and :func:`sgd_step` on the current
@@ -230,6 +214,8 @@ def sgd_train(
     head is left untouched; a trained copy and the per-epoch mean losses are
     returned. Fixed seed implies an identical result on every run.
     """
+    if head.mode != "dot":
+        raise ValueError(f"sgd_train trains dot heads, got a {head.mode!r} head; use nal.train_seg_head")
     x, t = _check_batch(head, x, targets)
     lr = check_lr(lr)
     rng = np.random.default_rng(seed)
@@ -244,16 +230,11 @@ def sgd_train(
             epoch_loss = 0.0
             for start in range(0, n, BATCH_SIZE):
                 idx = order[start : start + BATCH_SIZE]
-                loss, grad = ce_kernel(*_kernel_inputs(head, w, x[idx]), t[idx], np.ones(len(idx)) / len(idx))
+                loss, grad = ce_kernel(x[idx], w, t[idx], np.ones(len(idx)) / len(idx))
                 epoch_loss += loss * len(idx)
                 w, velocity = sgd_step(w, velocity, grad, rate)
             losses.append(epoch_loss / n)
     return replace(head, weights=w), losses
-
-
-def accuracy(head: ClassifierHead, x: np.ndarray, targets: np.ndarray) -> float:
-    pred = np.argmax(logits(head, np.asarray(x, dtype=np.float64)), axis=1)
-    return float(np.mean(pred == np.asarray(targets)))
 
 
 def cam(features: np.ndarray, head: ClassifierHead, class_id: int) -> np.ndarray:

@@ -135,18 +135,14 @@ def nal_loss_and_grad(
     head: ClassifierHead,
     gamma: float,
     lam: float,
-    confidence: np.ndarray | None = None,
 ) -> tuple[SegLossReport, np.ndarray]:
     """Noise-aware loss over one prepared image and its gradient w.r.t. the
     weights of a cosine head.
 
     ``sample`` comes from :func:`prepare_seg_sample`. The head's unit rows and
     row norms are computed once and shared by sigma and both cross-entropy
-    terms (:func:`~bana.clshead.ce_kernel`). ``confidence`` overrides the
-    weights computed from the current head: a finite, non-negative map of
-    the label grid's shape; gradient probes pass a fixed map since the
-    analytic gradient treats the weights as constants. The report records
-    the map used.
+    terms (:func:`~bana.clshead.ce_kernel`). The gradient treats the
+    confidence weights as constants. The report records the map used.
     """
     if head.mode != "cosine":
         raise ValueError(f"the noise-aware loss scores by cosine, got a {head.mode!r} head")
@@ -154,15 +150,6 @@ def nal_loss_and_grad(
         raise ValueError(f"feature channels {sample.dim} do not match head dim {head.dim}")
     if sample.max_label > head.num_classes:
         raise ValueError(f"CRF label {sample.max_label} is past the head's {head.num_classes} classes")
-    if confidence is not None:
-        confidence = np.asarray(confidence, dtype=np.float64)
-        grid = sample.fused.y_crf.shape
-        if confidence.shape != grid:
-            raise ValueError(f"confidence map {confidence.shape} does not match the label grid {grid}")
-        if not np.all(np.isfinite(confidence)):
-            raise ValueError("confidence map contains non-finite values")
-        if np.any(confidence < 0.0):
-            raise ValueError("confidence map contains negative values")
     w = cosine_weights(head.weights, head.scale)
     # Agreement pixels weigh 1/n each; disagreement pixels sigma / sum(sigma),
     # their loss and gradient scaled by lam.
@@ -172,9 +159,7 @@ def nal_loss_and_grad(
         losses[0], g = ce_kernel(agree.rows, w, agree.targets, agree.weights)
         grad += g
     if disagree.idx.size:
-        sigma = confidence
-        if sigma is None:
-            sigma = confidence_map(correlation_maps(sample, w), sample.fused.y_crf, gamma)
+        sigma = confidence_map(correlation_maps(sample, w), sample.fused.y_crf, gamma)
         weights = sigma.ravel()[disagree.idx]
         total = weights.sum()
         if total > 0.0:

@@ -378,10 +378,10 @@ def nal_train(features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], 
     samples = _load_seg_samples(features_dir, crf_dir, ret_dir, ids, num_classes)
     hook = None
     if confidence_dir is not None and confidence_every > 0:
-        confidence_dir.mkdir(parents=True, exist_ok=True)
-
+        # Made at the first dump, so settings that train_seg_head rejects leave no directory behind.
         def hook(epoch, index, sigma):
             if epoch % confidence_every == 0:
+                confidence_dir.mkdir(parents=True, exist_ok=True)
                 fileio.write_tensor(confidence_dir / f"{ids[index]}_epoch{epoch:03d}.btf", sigma.astype(np.float32))
 
     return nal.train_seg_head(samples, num_classes, confidence_hook=hook, **settings)

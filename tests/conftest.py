@@ -10,9 +10,10 @@ from bana.clshead import (
     BATCH_SIZE,
     LR_DROP_EPOCH,
     ClassifierHead,
+    ce_kernel,
     ce_loss_and_grad,
+    cosine_weights,
     sgd_step,
-    weighted_ce_loss_and_grad,
 )
 from bana.core import as_feature_map, unit_norm
 from bana.nal import confidence_map, correlation_maps
@@ -93,6 +94,7 @@ def _stepwise_nal_loss_and_grad(features, head, fused, gamma, lam):
     f = as_feature_map(features)
     x = f.reshape(f.shape[0], -1).T
     t = fused.y_crf.ravel().astype(np.intp)
+    w = cosine_weights(head.weights, head.scale)
     losses, grad, sigma = [0.0, 0.0], np.zeros_like(head.weights), None
     for k, (region, factor) in enumerate(((fused.agree, 1.0), (fused.disagree, lam))):
         idx = np.flatnonzero(region.ravel())
@@ -103,7 +105,7 @@ def _stepwise_nal_loss_and_grad(features, head, fused, gamma, lam):
         weights = np.ones(idx.size) if k == 0 else sigma.ravel()[idx]
         total = weights.sum()
         if total > 0.0:
-            losses[k], g = weighted_ce_loss_and_grad(head, x[idx], t[idx], weights / total)
+            losses[k], g = ce_kernel(unit_norm(x[idx], axis=1), w, t[idx], weights / total)
             grad += factor * g
     return losses[0] + lam * losses[1], sigma, grad
 

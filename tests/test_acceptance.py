@@ -16,7 +16,7 @@ import pytest
 
 from conftest import dense_mean_field, finite_difference_grad, max_relative_error, random_head
 
-from bana import clshead, fileio, metrics, pipeline
+from bana import clshead, fileio, metrics, nal, pipeline
 from bana.bgattn import attention_map, bap_pool, extract_queries
 from bana.clshead import ClassifierHead, ce_loss_and_grad
 from bana.core import BBox, BoxSet, IGNORE, build_background_mask
@@ -103,7 +103,7 @@ def test_criterion_2_attention_invariants():
     _report(2, "attention invariants", ok, f"max scale-invariance diff {worst_scale_diff:.2e}")
 
 
-def test_criterion_3_gradient_oracles():
+def test_criterion_3_gradient_oracles(monkeypatch):
     rng = np.random.default_rng(2)
     t0 = time.perf_counter()
     worst_ce = 0.0
@@ -132,11 +132,12 @@ def test_criterion_3_gradient_oracles():
         fused = fuse_labels(y_crf, y_ret)
         # the gradient treats confidence as a constant; pin it for the probe
         sigma = confidence_map(correlation_maps(f, head), fused.y_crf, 7.0)
-        _, grad = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.1, confidence=sigma)
+        monkeypatch.setattr(nal, "confidence_map", lambda *a: sigma)
+        _, grad = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.1)
 
         def nal_of(w):
             h = ClassifierHead(weights=w, mode="cosine", scale=head.scale)
-            return nal_loss_and_grad(prepare_seg_sample(f, fused), h, gamma=7.0, lam=0.1, confidence=sigma)[0].total
+            return nal_loss_and_grad(prepare_seg_sample(f, fused), h, gamma=7.0, lam=0.1)[0].total
 
         worst_nal = max(worst_nal, max_relative_error(grad, finite_difference_grad(nal_of, head.weights)))
 

@@ -649,14 +649,15 @@ class TestExitCodes:
         assert "usage error: argument --images: invalid int value: 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    @pytest.mark.parametrize("flag", ["--config", "--boxes", "--out-crf"])
+    @pytest.mark.parametrize("flag", ["--config", "--boxes", "--out-crf", "--out-ret"])
     def test_directory_path_is_input_error(self, corpus, trained_head, tmp_path, capsys, flag):
         d = tmp_path / "d.json"
         d.mkdir()
         if flag == "--config":
             argv = ["run", "--config", str(d)]
         else:
-            paths = {"--boxes": corpus / "boxes" / "0000.json", "--out-crf": tmp_path / "crf.pgm", flag: d}
+            paths = {"--boxes": corpus / "boxes" / "0000.json", "--out-crf": tmp_path / "crf.pgm",
+                     "--out-ret": tmp_path / "ret.pgm", flag: d}
             argv = [
                 "labels",
                 "--features", str(corpus / "features" / "0000.btf"),
@@ -664,12 +665,12 @@ class TestExitCodes:
                 "--image", str(corpus / "images" / "0000.ppm"),
                 "--head", str(trained_head),
                 "--out-crf", str(paths["--out-crf"]),
-                "--out-ret", str(tmp_path / "ret.pgm"),
+                "--out-ret", str(paths["--out-ret"]),
                 "--out-fused", str(tmp_path / "fused.pgm"),
             ]
         assert main(argv) == 1
         assert "input error: " in capsys.readouterr().err
-        assert d.is_dir() and list(tmp_path.glob("*.tmp")) == []
+        assert d.is_dir() and list(tmp_path.glob("*.tmp")) == [] and list(tmp_path.glob("*.pgm")) == []
 
     @pytest.mark.parametrize("pred, ref, message", [
         (_pgm(2, 2, [0, 1, 255, 1]), _pgm(2, 2, [0, 1, 1, 1]), "prediction contains IGNORE pixels"),
@@ -702,6 +703,64 @@ class TestExitCodes:
             ["eval", "--pred-dir", str(tmp_path / "void"), "--ref-dir", str(tmp_path), "--classes", "1"]
         )
         assert rc == 1
+
+
+class TestOutputsInAMissingDirectory:
+    """A command exits 1 before its first write, so that none of the outputs it names exists."""
+
+    @staticmethod
+    def _argv(command, tmp, corpus, head, missing=None, *flags):
+        """``command`` on small inputs with every output it names under ``tmp``, the one of flag
+        ``missing`` under ``tmp / "nodir"``; returns the argv and the output paths by flag."""
+        if command == "crf":
+            fileio.write_tensor(tmp / "u.btf", np.full((3, 4, 4), 0.5, dtype=np.float32))
+            fileio.write_image(tmp / "i.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+            inputs = ["--unary", str(tmp / "u.btf"), "--image", str(tmp / "i.ppm")]
+            outputs = {"--out": "y.pgm", "--marginals": "q.btf"}
+        elif command == "train-head":
+            inputs = ["--features-dir", str(corpus / "features"), "--boxes-dir", str(corpus / "boxes"), "--epochs", "1"]
+            outputs = {"--out": "head.btf"}
+        elif command == "eval":
+            inputs = ["--pred-dir", str(corpus / "gt"), "--ref-dir", str(corpus / "gt"), "--classes", "3"]
+            outputs = {"--out": "report.json"}
+        elif command == "labels":
+            inputs = ["--features", str(corpus / "features" / "0000.btf"),
+                      "--boxes", str(corpus / "boxes" / "0000.json"),
+                      "--image", str(corpus / "images" / "0000.ppm"), "--head", str(head)]
+            outputs = {"--out-crf": "crf.pgm", "--out-ret": "ret.pgm", "--out-fused": "fused.pgm",
+                       "--out-attention": "attn.btf", "--filling-rate-csv": "rates.csv"}
+        else:
+            for name, data in [("crf", [0, 1, 2, 1]), ("ret", [0, 1, 1, 1])]:  # the third pixel is disputed
+                (tmp / name).mkdir()
+                (tmp / name / "0000.pgm").write_bytes(_pgm(2, 2, data))
+            (tmp / "features").mkdir()
+            fileio.write_tensor(tmp / "features" / "0000.btf", _features(2, 2))
+            inputs = ["--features-dir", str(tmp / "features"), "--labels-crf-dir", str(tmp / "crf"),
+                      "--labels-ret-dir", str(tmp / "ret"), "--epochs", "1", "--dump-confidence-every", "1"]
+            outputs = {"--out-head": "seg.btf", "--loss-csv": "loss.csv", "--dump-confidence-dir": "conf"}
+        paths = {flag: tmp / ("nodir" if flag == missing else "") / name for flag, name in outputs.items()}
+        argv = [command, *inputs, *(arg for flag, path in paths.items() for arg in (flag, str(path))), *flags]
+        return argv, paths
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train-head", "--out"), ("eval", "--out"), ("nal-train", "--out-head"), ("nal-train", "--loss-csv"),
+        ("labels", "--out-crf"), ("labels", "--out-ret"), ("labels", "--out-fused"), ("labels", "--out-attention"),
+        ("labels", "--filling-rate-csv"), ("crf", "--out"), ("crf", "--marginals"),
+    ])
+    def test_output_in_a_missing_directory_writes_nothing(self, corpus, trained_head, tmp_path, capsys, command,
+                                                          flag):
+        argv, paths = self._argv(command, tmp_path, corpus, trained_head, flag)
+        missing = paths[flag]
+        assert main(argv) == 1
+        assert f"input error: {flag} {missing}: directory {missing.parent} does not exist" in capsys.readouterr().err
+        assert not any(path.exists() for path in paths.values())
+        missing.parent.mkdir()  # then the same command writes every output
+        assert main(argv) == 0 and all(path.exists() for path in paths.values())
+
+    def test_rejected_setting_leaves_no_confidence_directory(self, corpus, trained_head, tmp_path, capsys):
+        argv, paths = self._argv("nal-train", tmp_path, corpus, trained_head, None, "--gamma", "0.5")
+        assert main(argv) == 1 and "input error: gamma must be >= 1" in capsys.readouterr().err
+        assert not any(path.exists() for path in paths.values())
 
 
 class TestMalformedJsonInputs:
