@@ -58,7 +58,7 @@ def cos(a, b):
 
 
 print("\ncosine similarity of the pooled box feature to the true object direction:")
-print(f"  attention-weighted pooling: {cos(pooled.vector, obj_dir):.3f}")
+print(f"  attention-weighted pooling: {cos(pooled, obj_dir):.3f}")
 print(f"  plain average pooling:      {cos(gap, obj_dir):.3f}")
 print("\nweighting by 1 - attention pushes the descriptor toward the object,")
 print("even though most of the box area is background.")

@@ -51,8 +51,8 @@ cfg = PipelineConfig(
 )
 run_pipeline(cfg)
 
-result = noise_robustness_experiment(cfg, noise_frac=0.2)
-print(f"disputed class: {result['disputed_class']}, corrupted fraction of disputed pixels: 20%")
+result = noise_robustness_experiment(cfg)
+print(f"disputed class: {result['disputed_class']}, corrupted fraction of disputed pixels: {result['noise_frac']:.0%}")
 for name, story in [
     ("nal", "confidence-weighted disputed pixels"),
     ("ignore", "disputed pixels dropped"),

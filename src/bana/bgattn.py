@@ -16,22 +16,12 @@ per-box foreground descriptors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import BBox, BoxSet, as_feature_map, box_interior_mask, unit_norm
 
 # Below this total weight the pooled feature falls back to the plain mean.
 _WEIGHT_EPS = 1e-12
-
-
-@dataclass
-class PooledFeature:
-    """Foreground descriptor of one box plus its total foreground weight."""
-
-    vector: np.ndarray  # (C,)
-    foreground_weight: float
 
 
 def _grid_cells(h: int, w: int, n: int):
@@ -91,12 +81,12 @@ def attention_map(features: np.ndarray, queries: np.ndarray, boxes: BoxSet) -> n
     return a
 
 
-def bap_pool(features: np.ndarray, attention: np.ndarray, box: BBox) -> PooledFeature:
-    """Weighted average of the box features with foreground weights 1 - A.
+def bap_pool(features: np.ndarray, attention: np.ndarray, box: BBox) -> np.ndarray:
+    """The (C,) weighted average of the box features with foreground weights 1 - A.
 
     If the total weight inside the box is (numerically) zero -- every pixel
     judged background -- the box still needs a descriptor, so the plain
-    average over the box is returned with foreground_weight 0.
+    average over the box is returned.
     """
     f = as_feature_map(features)
     a = np.asarray(attention, dtype=np.float64)
@@ -109,8 +99,5 @@ def bap_pool(features: np.ndarray, attention: np.ndarray, box: BBox) -> PooledFe
     weights = 1.0 - a[rows, cols]
     total = weights.sum()
     if total <= _WEIGHT_EPS:
-        return PooledFeature(vector=patch.mean(axis=(1, 2)), foreground_weight=0.0)
-    return PooledFeature(
-        vector=(patch * weights).sum(axis=(1, 2)) / total,
-        foreground_weight=float(total),
-    )
+        return patch.mean(axis=(1, 2))
+    return (patch * weights).sum(axis=(1, 2)) / total

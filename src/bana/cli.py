@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -52,14 +53,18 @@ _CRF_FLAGS = {"--iters": "iterations", "--w1": "w1", "--w2": "w2",
 _FLAG_HELP = {"--attn-threshold": "background score threshold; 0 keeps the raw attention map"}
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
+    """``text`` as an int of at least ``low``; with ``low`` bound, an argparse type."""
     try:
         value = int(text)
     except ValueError:  # argparse would name this function in its message
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+_positive_int = functools.partial(_int_at_least, 1)
 
 
 def _class_count(text: str) -> int:
@@ -73,7 +78,9 @@ def _add_settings_flags(p: argparse.ArgumentParser, fields_of: type, flags: dict
     """Add ``flags``, each defaulting to the field of the dataclass ``fields_of`` that it names."""
     defaults = {f.name: f.default for f in dataclasses.fields(fields_of)}
     for flag, name in flags.items():
-        kind = _positive_int if name.endswith("epochs") else type(defaults[name])
+        kind = type(defaults[name])
+        if kind is int:  # a count; only a seed or an iteration count may be 0
+            kind = functools.partial(_int_at_least, 0 if name in ("seed", "iterations") else 1)
         p.add_argument(flag, dest=name, type=kind, default=defaults[name], help=_FLAG_HELP.get(flag))
 
 
@@ -205,7 +212,7 @@ def _cmd_labels(args) -> int:
     fileio.write_label_map(args.out_ret, fused.y_ret)
     fileio.write_label_map(args.out_fused, fused.fused)
     if args.out_attention:
-        fileio.write_tensor(args.out_attention, attn.astype(np.float32))
+        fileio.write_tensor(args.out_attention, attn)
     if args.filling_rate_csv:
         lines = ["box_index,class,filling_rate"]
         lines += [f"{i},{b.class_id},{r:.6f}" for i, (b, r) in enumerate(zip(boxes.boxes, rates))]
@@ -221,7 +228,7 @@ def _cmd_crf(args) -> int:
     labels, marginals = mean_field(unary, image, _crf_params(args))
     fileio.write_label_map(args.out, labels)
     if args.marginals:
-        fileio.write_tensor(args.marginals, marginals.astype(np.float32))
+        fileio.write_tensor(args.marginals, marginals)
     return 0
 
 

@@ -5,8 +5,9 @@ scored either by dot products or by scaled cosine similarity. Cross-entropy
 gradients are computed analytically -- including the normalization Jacobian
 in cosine mode -- and are checked against finite differences in the tests.
 
-The same head type doubles as the segmentation head: per-pixel class
-evidence maps are ReLU(f(p) . w_c) over the raw (unnormalized) weights.
+The same type also holds the cosine segmentation head. The per-pixel class
+evidence maps of label generation (:func:`cam`) come from the classification
+head: ReLU(f(p) . w_c) over its raw (unnormalized) weights.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def cam(features: np.ndarray, head: ClassifierHead, class_id: int) -> np.ndarray
 def save_head(path: str | os.PathLike, head: ClassifierHead) -> None:
     """Write weights as (L+1, C) .btf and {mode, scale, L, C} as sidecar JSON."""
     path = Path(path)
-    fileio.write_tensor(path, head.weights.astype(np.float32))
+    fileio.write_tensor(path, head.weights)
     meta = {"mode": head.mode, "scale": head.scale, "num_classes": head.num_classes, "dim": head.dim}
     sidecar = path.with_suffix(path.suffix + ".json")
     fileio.write_text(sidecar, json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -280,4 +281,8 @@ def load_head(path: str | os.PathLike) -> ClassifierHead:
             f"{path}: weight shape {w.shape} does not match sidecar "
             f"(num_classes={meta['num_classes']}, dim={meta['dim']})"
         )
-    return ClassifierHead(weights=w.astype(np.float64), mode=meta["mode"], scale=float(meta["scale"]))
+    try:
+        scale = float(meta["scale"])
+    except OverflowError:  # a JSON int past float range
+        raise fileio.FileFormatError(f"{sidecar}: scale {meta['scale']} is past float range") from None
+    return ClassifierHead(weights=w.astype(np.float64), mode=meta["mode"], scale=scale)

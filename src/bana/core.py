@@ -46,18 +46,6 @@ class BBox:
         if not (0 <= self.ymin < self.ymax):
             raise ValueError(f"need 0 <= ymin < ymax, got ymin={self.ymin}, ymax={self.ymax}")
 
-    @property
-    def width(self) -> int:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> int:
-        return self.ymax - self.ymin
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
-
     def slices(self) -> tuple[slice, slice]:
         """Row/column slices selecting the box interior of an (H, W) array."""
         return slice(self.ymin, self.ymax), slice(self.xmin, self.xmax)

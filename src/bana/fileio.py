@@ -55,11 +55,12 @@ def write_text(path: str | os.PathLike, text: str) -> None:
 
 def write_tensor(path: str | os.PathLike, arr: np.ndarray) -> None:
     """Write an array as a .btf tensor (float32, little-endian, row-major)."""
-    a = np.ascontiguousarray(arr, dtype="<f4")
+    with np.errstate(over="ignore"):  # values past float32 range become inf, refused below
+        a = np.ascontiguousarray(arr, dtype="<f4")
     if a.ndim < 1 or a.ndim > _MAX_RANK:
         raise ValueError(f"tensor rank must be in 1..{_MAX_RANK}, got {a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("refusing to write non-finite tensor values")
+        raise ValueError(f"{path}: refusing to write non-finite tensor values (as float32)")
     header = _BTF_MAGIC + np.asarray([a.ndim] + list(a.shape), dtype="<u4").tobytes()
     _atomic_write_bytes(path, header + a.tobytes())
 

@@ -79,12 +79,13 @@ def prepare_seg_sample(features: np.ndarray, fused: FusedLabels) -> SegSample:
     """Check a (C, H, W) feature map against its fused labels and gather,
     once, everything a training step reads from them."""
     f = as_feature_map(features)
-    if fused.fused.shape != f.shape[1:]:
-        raise ValueError(f"fused labels {fused.fused.shape} do not match feature grid {f.shape[1:]}")
+    if fused.y_crf.shape != f.shape[1:]:
+        raise ValueError(f"fused labels {fused.y_crf.shape} do not match feature grid {f.shape[1:]}")
     x = f.reshape(f.shape[0], -1).T  # (HW, C)
     t = fused.y_crf.ravel().astype(np.intp)  # the fused label wherever the maps agree
     regions = []
-    for k, region in enumerate((fused.agree, fused.disagree)):
+    agree = fused.agree
+    for k, region in enumerate((agree, ~agree)):
         idx = np.flatnonzero(region.ravel())
         weights = np.ones(idx.size) / idx.size if k == 0 and idx.size else None
         regions.append(SegRegion(idx, unit_norm(x[idx], axis=1), t[idx], weights))

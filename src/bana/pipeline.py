@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +39,8 @@ from .crf import CrfParams, build_unary, mean_field
 from .pseudolabel import FusedLabels, extract_prototypes, filling_rate, fuse_labels, retrieval_labels
 
 STAGES = ("train-head", "labels", "nal-train", "eval")
+# The share of disputed pixels whose CRF label the noise experiment corrupts.
+NOISE_FRAC = 0.2
 
 
 # The JSON types each config field's annotation accepts, compared by type() so
@@ -92,7 +95,8 @@ class PipelineConfig:
             raise ValueError(f"unknown stages {bad}; valid stages are {list(STAGES)}")
         self.stages = [s for s in STAGES if s in self.stages]
         for f in dataclasses.fields(self):
-            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+            # Compared as Python numbers: NaN, the infinities and JSON ints past float range fail.
+            if f.type == "float" and not abs(getattr(self, f.name)) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for rule, ok, keys in (
             (f"in [1, {MAX_CLASSES}]", lambda v: 1 <= v <= MAX_CLASSES, ("num_classes",)),
@@ -215,7 +219,7 @@ def collect_training_samples(
     (class 0) of one image, as an (n, C), (n,) pair. Never empty: every box
     pools a vector, and an image without boxes gives background queries."""
     resized, queries, attn = _background_attention(features, boxes, grid_size)
-    vecs = [bap_pool(features, attn, b).vector for b in resized.boxes] + list(queries)
+    vecs = [bap_pool(features, attn, b) for b in resized.boxes] + list(queries)
     targets = [b.class_id for b in resized.boxes] + [0] * len(queries)
     return np.stack(vecs), np.asarray(targets, dtype=np.intp)
 
@@ -231,6 +235,9 @@ def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes:
         f = fileio.read_tensor(features_dir / f"{image_id}.btf", expected_rank=3)
         boxes = fileio.read_boxes(_require(boxes_dir / f"{image_id}.json", "train-head", "boxes file"))
         x, y = collect_training_samples(f, boxes, grid_size)
+        if xs and x.shape[1] != xs[0].shape[1]:
+            raise PipelineError(f"stage 'train-head': image {image_id} has {x.shape[1]} feature channels, "
+                                f"image {ids[0]} has {xs[0].shape[1]}")
         xs.append(x)
         ys.append(y)
     x = np.concatenate(xs)
@@ -271,8 +278,12 @@ def generate_labels_for_image(
     """Full label generation for one image.
 
     Returns the fused label bundle, the attention map (feature resolution),
-    and the per-box filling rates of the fused labels.
+    and the per-box filling rates of the fused labels. A boxes frame other
+    than the image's size is rejected before any map is built.
     """
+    if image.shape[:2] != (boxes.image_height, boxes.image_width):
+        raise ValueError(f"boxes frame {boxes.image_width}x{boxes.image_height} does not match the "
+                         f"{image.shape[1]}x{image.shape[0]} image (width x height)")
     _, _, attn = _background_attention(features, boxes, grid_size)
     cams = {c: cam(features, head, c) for c in boxes.class_ids()}
     unary = build_unary(cams, attn, boxes, head.num_classes, tau)
@@ -299,7 +310,7 @@ def _labels_worker(job: tuple) -> tuple[str, list[tuple[int, float]]]:
     fileio.write_label_map(out / "labels" / "ret" / f"{image_id}.pgm", fused.y_ret)
     fileio.write_label_map(out / "labels" / "fused" / f"{image_id}.pgm", fused.fused)
     if cfg.dump_attention:
-        fileio.write_tensor(out / "attention" / f"{image_id}.btf", attn.astype(np.float32))
+        fileio.write_tensor(out / "attention" / f"{image_id}.btf", attn)
     return image_id, [(b.class_id, r) for b, r in zip(boxes.boxes, rates)]
 
 
@@ -307,13 +318,13 @@ def run_labels_stage(cfg: PipelineConfig) -> Path:
     corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
     ids = stage_ids(corpus / "features", ".btf", "labels")
     _require(out / "head" / "classifier.btf", "labels", "classifier head (run train-head first)")
+    for image_id in ids:
+        _require(corpus / "boxes" / f"{image_id}.json", "labels", "boxes file")
+        _require(corpus / "images" / f"{image_id}.ppm", "labels", "image file")
     for sub in ("crf", "ret", "fused"):
         (out / "labels" / sub).mkdir(parents=True, exist_ok=True)
     if cfg.dump_attention:
         (out / "attention").mkdir(parents=True, exist_ok=True)
-    for image_id in ids:
-        _require(corpus / "boxes" / f"{image_id}.json", "labels", "boxes file")
-        _require(corpus / "images" / f"{image_id}.ppm", "labels", "image file")
 
     jobs = [(cfg, image_id) for image_id in ids]
     if cfg.jobs > 1:
@@ -382,7 +393,7 @@ def nal_train(features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], 
         def hook(epoch, index, sigma):
             if epoch % confidence_every == 0:
                 confidence_dir.mkdir(parents=True, exist_ok=True)
-                fileio.write_tensor(confidence_dir / f"{ids[index]}_epoch{epoch:03d}.btf", sigma.astype(np.float32))
+                fileio.write_tensor(confidence_dir / f"{ids[index]}_epoch{epoch:03d}.btf", sigma)
 
     return nal.train_seg_head(samples, num_classes, confidence_hook=hook, **settings)
 
@@ -501,30 +512,22 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def inject_disagreement_noise(
-    fused: FusedLabels,
-    *,
-    disputed_class: int,
-    noise_frac: float,
-    num_classes: int,
-    rng: np.random.Generator,
-) -> FusedLabels:
+def inject_disagreement_noise(fused: FusedLabels, *, num_classes: int, rng: np.random.Generator) -> FusedLabels:
     """Manufacture a disputed-label regime on one image.
 
-    Every agreed pixel of ``disputed_class`` is moved into the disagreement
-    region (the retrieval map is flipped to background there), mimicking a
-    label source that contests entire objects. Then ``noise_frac`` of all
-    disagreement pixels get a corrupted CRF label -- a wrong class that
-    still differs from the retrieval label, so the pixel stays disputed.
+    Every agreed pixel of the highest class, L = ``num_classes``, is moved
+    into the disagreement region (the retrieval map is flipped to background
+    there), mimicking a label source that contests entire objects. Then
+    ``NOISE_FRAC`` of all disagreement pixels get a corrupted CRF label -- a
+    wrong class that still differs from the retrieval label, so the pixel
+    stays disputed.
     """
     y_crf = fused.y_crf.copy()
     y_ret = fused.y_ret.copy()
-    move = fused.agree & (y_crf == disputed_class)
-    y_ret[move] = 0 if disputed_class != 0 else 1
+    y_ret[fused.agree & (y_crf == num_classes)] = 0
 
-    disagree = y_crf != y_ret
-    idx = np.flatnonzero(disagree.ravel())
-    n_corrupt = int(round(noise_frac * idx.size))
+    idx = np.flatnonzero((y_crf != y_ret).ravel())
+    n_corrupt = int(round(NOISE_FRAC * idx.size))
     if n_corrupt > 0:
         chosen = rng.choice(idx, size=n_corrupt, replace=False)
         flat_crf, flat_ret = y_crf.ravel(), y_ret.ravel()
@@ -536,12 +539,7 @@ def inject_disagreement_noise(
     return fuse_labels(y_crf, y_ret)
 
 
-def noise_robustness_experiment(
-    cfg: PipelineConfig,
-    *,
-    noise_frac: float = 0.2,
-    variants: tuple[str, ...] = ("nal", "ignore", "plain"),
-) -> dict:
+def noise_robustness_experiment(cfg: PipelineConfig) -> dict:
     """Train the segmentation head under injected label noise, three ways.
 
     * ``nal``    -- the noise-aware loss (confidence-weighted disagreements);
@@ -549,35 +547,27 @@ def noise_robustness_experiment(
     * ``plain``  -- ordinary cross-entropy on the (noisy) CRF labels
       everywhere, with no fusion and no weighting.
 
-    All variants share the seed, the init, and the same corrupted labels,
-    whose disputed class is the highest one, L; returns their scores
-    (:func:`bana.metrics.score`) against the clean ground truth, evaluated at
-    image resolution.
+    All variants share the seed, the init, and the same corrupted labels
+    (:func:`inject_disagreement_noise`, whose disputed class is the highest
+    one, L); returns their scores (:func:`bana.metrics.score`) against the
+    clean ground truth, evaluated at image resolution.
     """
     corpus, labels_dir = Path(cfg.corpus_dir), Path(cfg.out_dir) / "labels"
     ids = stage_ids(corpus / "features", ".btf", "nal-train")
     num_classes = _corpus_num_classes(cfg, corpus, ids)
     samples = _load_seg_samples(corpus / "features", labels_dir / "crf", labels_dir / "ret", ids, num_classes)
 
-    noisy = []
-    for i, (f, fused) in enumerate(samples):
-        rng = np.random.default_rng([cfg.seed, 7700 + i])
-        noisy.append((f, inject_disagreement_noise(
-            fused, disputed_class=num_classes, noise_frac=noise_frac,
-            num_classes=num_classes, rng=rng,
-        )))
-
+    noisy = [
+        (f, inject_disagreement_noise(fused, num_classes=num_classes, rng=np.random.default_rng([cfg.seed, 7700 + i])))
+        for i, (f, fused) in enumerate(samples)
+    ]
     # plain: the same noisy CRF labels, but treated as fully trusted everywhere.
     plain = [(f, fuse_labels(fl.y_crf, fl.y_crf)) for f, fl in noisy]
-    runs = {"nal": (noisy, cfg.lam), "ignore": (noisy, 0.0), "plain": (plain, 0.0)}
-    if not runs.keys() >= set(variants):
-        raise ValueError(f"unknown variants {sorted(set(variants) - runs.keys())}; valid variants are {list(runs)}")
     gts = [fileio.read_label_map(corpus / "gt" / f"{image_id}.pgm", num_classes) for image_id in ids]
-    result = {"disputed_class": num_classes, "noise_frac": noise_frac}
-    for name, (train_samples, lam) in runs.items():
-        if name in variants:
-            head = nal.train_seg_head(train_samples, num_classes, **{**_seg_settings(cfg), "lam": lam})[0]
-            cm = sum(metrics.confusion(nal.predict_labels(f, head, *gt.shape), gt, num_classes)
-                     for (f, _), gt in zip(noisy, gts))
-            result[name] = metrics.score(cm)
+    result = {"disputed_class": num_classes, "noise_frac": NOISE_FRAC}
+    for name, train_samples, lam in (("nal", noisy, cfg.lam), ("ignore", noisy, 0.0), ("plain", plain, 0.0)):
+        head = nal.train_seg_head(train_samples, num_classes, **{**_seg_settings(cfg), "lam": lam})[0]
+        cm = sum(metrics.confusion(nal.predict_labels(f, head, *gt.shape), gt, num_classes)
+                 for (f, _), gt in zip(noisy, gts))
+        result[name] = metrics.score(cm)
     return result

@@ -19,13 +19,21 @@ from .core import IGNORE, BoxSet, as_feature_map, bilinear_resize, unit_norm, va
 
 @dataclass
 class FusedLabels:
-    """Both pseudo-label maps plus their agreement/disagreement partition."""
+    """Both pseudo-label maps of one image; the trusted region and the fused
+    map are derived from them on each read."""
 
     y_crf: np.ndarray  # (H, W) uint8
     y_ret: np.ndarray  # (H, W) uint8
-    fused: np.ndarray  # (H, W) uint8, IGNORE where the maps disagree
-    agree: np.ndarray  # (H, W) bool
-    disagree: np.ndarray  # (H, W) bool
+
+    @property
+    def agree(self) -> np.ndarray:
+        """(H, W) bool: where the two maps agree."""
+        return self.y_crf == self.y_ret
+
+    @property
+    def fused(self) -> np.ndarray:
+        """(H, W) uint8: the agreed label, IGNORE where the maps disagree."""
+        return np.where(self.agree, self.y_crf, IGNORE).astype(np.uint8)
 
 
 def extract_prototypes(features: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
@@ -79,15 +87,10 @@ def fuse_labels(y_crf: np.ndarray, y_ret: np.ndarray) -> FusedLabels:
     b = validate_label_map(y_ret)
     if a.shape != b.shape:
         raise ValueError(f"label maps differ in shape: {a.shape} vs {b.shape}")
-    agree = a == b
-    fused = np.where(agree, a, IGNORE).astype(np.uint8)
-    return FusedLabels(
-        y_crf=a.astype(np.uint8),
-        y_ret=b.astype(np.uint8),
-        fused=fused,
-        agree=agree,
-        disagree=~agree,
-    )
+    fused = FusedLabels(y_crf=a.astype(np.uint8), y_ret=b.astype(np.uint8))
+    if not (np.array_equal(fused.y_crf, a) and np.array_equal(fused.y_ret, b)):
+        raise ValueError(f"label values must lie in [0, {IGNORE}]")
+    return fused
 
 
 def filling_rate(labels: np.ndarray, boxes: BoxSet) -> list[float]:

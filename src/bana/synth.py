@@ -39,6 +39,8 @@ _CLASS_COLORS = np.array(
 # Smallest image side: each slot of the 2x2 partition must hold a shape of at
 # least 3x3 pixels one pixel in from its edge.
 MIN_SIZE = 8
+# Standard deviation of the Gaussian noise on every feature value.
+FEATURE_NOISE = 0.22
 
 
 def _class_directions(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,15 +87,13 @@ def _render_image(gt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.clip(np.round(img), 0, 255).astype(np.uint8)
 
 
-def _render_features(
-    gt: np.ndarray, directions: np.ndarray, stride: int, noise: float, rng: np.random.Generator
-) -> np.ndarray:
+def _render_features(gt: np.ndarray, directions: np.ndarray, stride: int, rng: np.random.Generator) -> np.ndarray:
     h, w = gt.shape
     fh, fw = h // stride, w // stride
     per_pixel = directions[gt]  # (H, W, dim)
     blocks = per_pixel[: fh * stride, : fw * stride].reshape(fh, stride, fw, stride, -1)
     cells = blocks.mean(axis=(1, 3))
-    cells = cells + rng.normal(0.0, noise, size=cells.shape)
+    cells = cells + rng.normal(0.0, FEATURE_NOISE, size=cells.shape)
     return cells.transpose(2, 0, 1).astype(np.float32)
 
 
@@ -106,7 +106,6 @@ def synth_corpus(
     num_classes: int = 3,
     feat_stride: int = 4,
     feat_dim: int = 8,
-    feature_noise: float = 0.22,
 ) -> dict:
     """Write a corpus under ``out_dir`` and return its manifest.
 
@@ -149,10 +148,7 @@ def synth_corpus(
         fileio.write_label_map(out / "gt" / f"{image_id}.pgm", gt)
         fileio.write_boxes(out / "boxes" / f"{image_id}.json", BoxSet(size, size, boxes))
         fileio.write_image(out / "images" / f"{image_id}.ppm", _render_image(gt, rng))
-        fileio.write_tensor(
-            out / "features" / f"{image_id}.btf",
-            _render_features(gt, directions, feat_stride, feature_noise, rng),
-        )
+        fileio.write_tensor(out / "features" / f"{image_id}.btf", _render_features(gt, directions, feat_stride, rng))
 
     manifest = {
         "ids": ids,
@@ -160,7 +156,7 @@ def synth_corpus(
         "size": size,
         "feat_stride": feat_stride,
         "feat_dim": feat_dim,
-        "feature_noise": feature_noise,
+        "feature_noise": FEATURE_NOISE,
         "seed": seed,
     }
     fileio.write_text(out / "meta.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

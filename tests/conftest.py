@@ -96,7 +96,7 @@ def _stepwise_nal_loss_and_grad(features, head, fused, gamma, lam):
     t = fused.y_crf.ravel().astype(np.intp)
     w = cosine_weights(head.weights, head.scale)
     losses, grad, sigma = [0.0, 0.0], np.zeros_like(head.weights), None
-    for k, (region, factor) in enumerate(((fused.agree, 1.0), (fused.disagree, lam))):
+    for k, (region, factor) in enumerate(((fused.agree, 1.0), (~fused.agree, lam))):
         idx = np.flatnonzero(region.ravel())
         if idx.size == 0:
             continue

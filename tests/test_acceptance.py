@@ -73,7 +73,7 @@ def test_criterion_1_gap_degeneration():
         box = BBox(1, x0, y0, int(rng.integers(x0 + 1, w + 1)), int(rng.integers(y0 + 1, h + 1)))
         pooled = bap_pool(f, np.zeros((h, w)), box)
         mean = f[:, box.ymin : box.ymax, box.xmin : box.xmax].mean(axis=(1, 2))
-        rel = np.abs(pooled.vector - mean).max() / max(np.abs(mean).max(), 1e-12)
+        rel = np.abs(pooled - mean).max() / max(np.abs(mean).max(), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     _report(1, "GAP degeneration", worst <= 1e-6 and elapsed < 1.0,
@@ -263,8 +263,7 @@ def test_criterion_7_end_to_end_pipeline(pipeline_runs):
     t0 = time.perf_counter()
     report = json.loads(pipeline_runs["first"]["metrics.json"].decode())
     fused_miou = report["pseudo_labels"]["fused_claimed"]["miou"]
-    result = noise_robustness_experiment(pipeline_runs["cfg"], noise_frac=0.2,
-                                         variants=("nal", "ignore"))
+    result = noise_robustness_experiment(pipeline_runs["cfg"])
     elapsed = pipeline_runs["elapsed"] + (time.perf_counter() - t0)
     margin = result["nal"]["miou"] - result["ignore"]["miou"]
     ok = fused_miou >= 0.85 and margin > 0.0 and elapsed < 300.0
@@ -307,7 +306,7 @@ def test_criterion_8_metrics():
             for yy in range(box.ymin, box.ymax)
             for xx in range(box.xmin, box.xmax)
         )
-        ok &= rate == hits / box.area
+        ok &= rate == hits / ((box.xmax - box.xmin) * (box.ymax - box.ymin))
     _report(8, "metrics", ok, f"7/12 case -> {value:.10f}")
 
 

@@ -157,14 +157,13 @@ class TestBapPool:
         box = BBox(1, 1, 1, 4, 4)
         pooled = bap_pool(f, np.zeros((5, 5)), box)
         mean = f[:, 1:4, 1:4].mean(axis=(1, 2))
-        np.testing.assert_allclose(pooled.vector, mean, rtol=1e-6)
-        assert pooled.foreground_weight == pytest.approx(9.0)
+        np.testing.assert_allclose(pooled, mean, rtol=1e-6)
 
     def test_single_pixel_box(self):
         rng = np.random.default_rng(8)
         f = rng.normal(size=(2, 3, 3))
         pooled = bap_pool(f, np.full((3, 3), 0.4), BBox(1, 2, 1, 3, 2))
-        np.testing.assert_allclose(pooled.vector, f[:, 1, 2], rtol=1e-12)
+        np.testing.assert_allclose(pooled, f[:, 1, 2], rtol=1e-12)
 
     def test_hand_computed_weighted_mean(self):
         f = np.zeros((2, 1, 2))
@@ -172,15 +171,13 @@ class TestBapPool:
         f[:, 0, 1] = [1.0, 1.0]
         a = np.array([[1.0, 1.0 / np.sqrt(2.0)]])
         pooled = bap_pool(f, a, BBox(1, 1, 0, 2, 1))
-        np.testing.assert_allclose(pooled.vector, [1.0, 1.0])
-        assert pooled.foreground_weight == pytest.approx(1.0 - 1.0 / np.sqrt(2.0))
+        np.testing.assert_allclose(pooled, [1.0, 1.0])
 
     def test_all_background_falls_back_to_mean(self):
         rng = np.random.default_rng(9)
         f = rng.normal(size=(2, 4, 4))
         pooled = bap_pool(f, np.ones((4, 4)), BBox(1, 0, 0, 4, 4))
-        np.testing.assert_allclose(pooled.vector, f.mean(axis=(1, 2)), rtol=1e-12)
-        assert pooled.foreground_weight == 0.0
+        np.testing.assert_allclose(pooled, f.mean(axis=(1, 2)), rtol=1e-12)
 
     def test_output_within_featurewise_bounds(self):
         # convex combination: each channel stays inside the box's value range
@@ -191,5 +188,5 @@ class TestBapPool:
             box = BBox(1, 1, 2, 5, 6)
             pooled = bap_pool(f, a, box)
             patch = f[:, 2:6, 1:5]
-            assert np.all(pooled.vector >= patch.min(axis=(1, 2)) - 1e-9)
-            assert np.all(pooled.vector <= patch.max(axis=(1, 2)) + 1e-9)
+            assert np.all(pooled >= patch.min(axis=(1, 2)) - 1e-9)
+            assert np.all(pooled <= patch.max(axis=(1, 2)) + 1e-9)

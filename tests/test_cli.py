@@ -1,6 +1,7 @@
 """The bana command: subcommands, exit codes, artifact wiring."""
 
 import dataclasses
+import functools
 import json
 import shutil
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bana import fileio
+from bana import clshead, fileio, pipeline
 from bana.cli import _CRF_FLAGS, _crf_params, build_parser, main
 from bana.crf import CrfParams
 from bana.pipeline import PipelineConfig, run_pipeline
@@ -281,10 +282,38 @@ def _label_files(draw, shape=None):
     wide = draw(st.sampled_from([False, False, False, True]))
     values = st.sampled_from([0, 1, 2, 3, 4, 255]) if wide else st.integers(0, 3)
     valid = _pgm(h, w, draw(st.lists(values, min_size=h * w, max_size=h * w)))
-    kind = draw(st.sampled_from(["valid", "valid", "valid", "truncated", "garbage"]))
-    if kind == "truncated":
-        return valid[: draw(st.integers(0, len(valid) - 1))], (h, w)
-    return (valid if kind == "valid" else draw(st.binary(max_size=24))), (h, w)
+    return (valid if draw(st.integers(0, 4)) < 3 else draw(_damaged(valid))), (h, w)
+
+
+@st.composite
+def _damaged(draw, data: bytes) -> bytes:
+    """``data`` cut short or, as often, a few garbage bytes in its place."""
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data) - 1))]
+    return draw(st.binary(max_size=24))
+
+
+# JSON values of the wrong type (or out of range) for nearly every field they may replace.
+_JSON_JUNK = st.sampled_from([None, True, "1", 1.5, -1, 0, 2**70, 10**400, [], {}, [1], float("nan"), float("inf")])
+
+
+def _slots(obj):
+    """Every (container, key) pair inside a JSON value of nested dicts and lists."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield obj, key
+        yield from _slots(value)
+
+
+@st.composite
+def _damaged_json(draw, obj) -> bytes:
+    """``obj`` as JSON with one value in it replaced by junk, or its text damaged."""
+    if draw(st.booleans()):
+        return draw(_damaged(json.dumps(obj).encode()))
+    obj = json.loads(json.dumps(obj))
+    container, key = draw(st.sampled_from(list(_slots(obj))))
+    container[key] = draw(_JSON_JUNK)
+    return json.dumps(obj).encode()
 
 
 @st.composite
@@ -342,6 +371,10 @@ def _features(h, w):
     return np.random.default_rng(h * 7 + w).normal(size=(3, h, w)).astype(np.float32)
 
 
+# Epochs stay small so that a run is quick: the flags take any count, and the defaults are 30 and 60.
+_EPOCHS = st.sampled_from(["1", "2", "0", "-1", "", "1.5", "x"])
+
+
 @st.composite
 def _nal_train_runs(draw):
     images = []
@@ -351,10 +384,8 @@ def _nal_train_runs(draw):
         ret_shape = draw(st.sampled_from([shape] * 2 + ["own"]))
         ret = draw(_label_files(None if ret_shape == "own" else ret_shape))[0]
         images.append((_features(draw(st.integers(1, 3)), draw(st.integers(1, 3))), crf, ret))
-    # Epochs stay small so that a run is quick; the default is 30.
-    epochs = st.sampled_from(["1", "2", "0", "-1", "", "1.5", "x"])
     flags = [f"{flag}={draw(values)}" for flag, values in [
-        ("--gamma", _float_texts()), ("--lambda", _float_texts()), ("--lr", _float_texts()), ("--epochs", epochs),
+        ("--gamma", _float_texts()), ("--lambda", _float_texts()), ("--lr", _float_texts()), ("--epochs", _EPOCHS),
         ("--classes", _int_texts(st.integers(1, 5))),
     ] if draw(st.booleans())]
     return images, flags
@@ -376,6 +407,190 @@ def test_nal_train_command_exits_0_or_1(run):
             for i in range(len(images)):
                 crf, ret = (fileio.read_label_map(Path(tmp) / kind / f"{i:04d}.pgm") for kind in ("crf", "ret"))
                 assert crf.shape == ret.shape, run
+
+
+
+def _sometimes(draw, n) -> bool:
+    """True about one time in ``n`` (st.integers would favor 0)."""
+    return draw(st.sampled_from([False] * (n - 1) + [True]))
+
+
+def _btf(arr) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        fileio.write_tensor(Path(tmp) / "t.btf", arr)
+        return (Path(tmp) / "t.btf").read_bytes()
+
+
+@st.composite
+def _boxes(draw, width, height, max_class):
+    """A boxes file's JSON object: a frame of its own one time in five, else ``width`` x ``height``,
+    with up to three boxes inside it of classes 1..``max_class``."""
+    if _sometimes(draw, 5):
+        width, height = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    boxes = []
+    for _ in range(draw(st.integers(0, 3))):
+        x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        boxes.append({"class": draw(st.integers(1, max_class)), "xmin": x0, "ymin": y0,
+                      "xmax": draw(st.integers(x0 + 1, width)), "ymax": draw(st.integers(y0 + 1, height))})
+    return {"width": width, "height": height, "boxes": boxes}
+
+
+@st.composite
+def _inputs(draw, files):
+    """``files`` (name -> bytes, or a JSON object) as bytes, one of them damaged half the time."""
+    target = draw(st.sampled_from(list(files))) if draw(st.booleans()) else None
+    out = {}
+    for name, data in files.items():
+        if name == target:
+            out[name] = draw(_damaged_json(data) if isinstance(data, dict) else _damaged(data))
+        else:
+            out[name] = json.dumps(data).encode() if isinstance(data, dict) else data
+    return out
+
+
+def _output_paths(tmp, names, missing):
+    """Each flag's output under ``tmp``, the one of flag ``missing`` under ``tmp / "nodir"``."""
+    return {flag: tmp / ("nodir" if flag == missing else "") / name for flag, name in names.items()}
+
+
+def _missing(draw, outputs):
+    """One of the ``outputs`` flags one time in four, else None."""
+    return draw(st.sampled_from(list(outputs))) if _sometimes(draw, 4) else None
+
+
+@st.composite
+def _train_head_runs(draw):
+    channels, files = draw(st.integers(1, 3)), {}
+    for i in range(draw(st.integers(1, 2))):
+        fh, fw = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        # One image in five has a channel more than the first.
+        c = channels + (i > 0 and _sometimes(draw, 5))
+        files[f"features/{i:04d}.btf"] = _btf(np.random.default_rng(i).normal(size=(c, fh, fw)).astype(np.float32))
+        files[f"boxes/{i:04d}.json"] = draw(_boxes(draw(st.integers(1, 64)), draw(st.integers(1, 64)), 4))
+    flags = [f"{flag}={draw(values)}" for flag, values in [
+        ("--grid-size", _int_texts(st.integers(1, 4))), ("--epochs", _EPOCHS), ("--lr", _float_texts()),
+        ("--seed", _int_texts(st.integers(-1, 3))), ("--classes", _int_texts(st.integers(1, 5))),
+    ] if _sometimes(draw, 3)]
+    return draw(_inputs(files)), flags, _missing(draw, ["--out"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_train_head_runs())
+@example(({"features/0000.btf": _btf(np.full((1, 1, 1), 0.125, np.float32)),  # weights past float32 range
+           "boxes/0000.json": b'{"width": 1, "height": 1, "boxes": []}'}, ["--lr=1e5", "--classes=1"], None))
+def test_train_head_command_writes_a_loadable_head_or_exits_1_with_none(run):
+    files, flags, missing = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in files.items():
+            (tmp / name).parent.mkdir(exist_ok=True)
+            (tmp / name).write_bytes(data)
+        out = _output_paths(tmp, {"--out": "head.btf"}, missing)["--out"]
+        rc = main(["train-head", "--features-dir", str(tmp / "features"), "--boxes-dir", str(tmp / "boxes"),
+                   "--out", str(out), *flags])
+        assert rc in (0, 1), run
+        if rc == 1:
+            assert not out.exists() and not out.with_suffix(".btf.json").exists(), run
+        else:
+            assert np.all(np.isfinite(clshead.load_head(out).weights)), run
+
+
+@st.composite
+def _labels_runs(draw):
+    h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    channels, num_classes = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(h * 32 + w)
+    image = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    features = rng.normal(size=(channels, draw(st.integers(1, 8)), draw(st.integers(1, 8)))).astype(np.float32)
+    # One head in five scores features of another width.
+    dim = channels + _sometimes(draw, 5)
+    head = clshead.ClassifierHead(weights=rng.normal(size=(num_classes + 1, dim)),
+                                  mode=draw(st.sampled_from(clshead.MODES)), scale=15.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        fileio.write_image(Path(tmp) / "i.ppm", image)
+        clshead.save_head(Path(tmp) / "h.btf", head)
+        files = {"features.btf": _btf(features), "image.ppm": (Path(tmp) / "i.ppm").read_bytes(),
+                 "head.btf": (Path(tmp) / "h.btf").read_bytes(),
+                 "head.btf.json": json.loads((Path(tmp) / "h.btf.json").read_text()),
+                 # One class in four past the head's.
+                 "boxes.json": draw(_boxes(w, h, num_classes + _sometimes(draw, 4)))}
+    flags = [f"--iters={draw(st.sampled_from(['1', '2', '0', '1', '2', '-1', 'x']))}"]
+    # Each other flag is set one time in eight, the rest keep their defaults, so that many runs get through.
+    flags += [f"{flag}={draw(values)}" for flag, values in [
+        ("--grid-size", _int_texts(st.integers(1, 3))),
+        ("--attn-threshold", st.floats(0, 1).map(repr) | _float_texts()),
+        *((flag, _float_texts()) for flag in _CRF_FLAGS if flag != "--iters"),
+    ] if _sometimes(draw, 8)]
+    outputs = {"--out-crf": "crf.pgm", "--out-ret": "ret.pgm", "--out-fused": "fused.pgm"}
+    outputs.update((flag, name) for flag, name in [("--out-attention", "attn.btf"), ("--filling-rate-csv", "rates.csv")]
+                   if draw(st.booleans()))
+    return draw(_inputs(files)), flags, outputs, _missing(draw, outputs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_labels_runs())
+def test_labels_command_writes_consistent_maps_or_exits_1_with_none(run):
+    files, flags, outputs, missing = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in files.items():
+            (tmp / name).write_bytes(data)
+        paths = _output_paths(tmp, outputs, missing)
+        rc = main(["labels", "--features", str(tmp / "features.btf"), "--boxes", str(tmp / "boxes.json"),
+                   "--image", str(tmp / "image.ppm"), "--head", str(tmp / "head.btf"),
+                   *(arg for flag, path in paths.items() for arg in (flag, str(path))), *flags])
+        assert rc in (0, 1), run
+        if rc == 1:
+            assert not any(path.exists() for path in paths.values()), run
+            return
+        crf, ret, fused = (fileio.read_label_map(paths[flag]) for flag in ("--out-crf", "--out-ret", "--out-fused"))
+        assert crf.shape == ret.shape == fileio.read_image(tmp / "image.ppm").shape[:2], run
+        assert np.array_equal(fused, np.where(crf == ret, crf, 255)), run
+
+
+_LOOP_COUNTS = ("head_epochs", "seg_epochs", "crf_iterations")
+
+
+@functools.cache
+def _run_corpus() -> dict:
+    """The files of a two-image 16x16 corpus, by path relative to the corpus."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["synth", "--out", tmp, "--images", "2", "--size", "16"]) == 0
+        return {str(p.relative_to(tmp)): p.read_bytes() for p in sorted(Path(tmp).rglob("*")) if p.is_file()}
+
+
+@st.composite
+def _run_runs(draw):
+    config = {"stages": draw(st.lists(st.sampled_from(pipeline.STAGES), unique=True)),
+              "head_epochs": draw(st.integers(1, 3)), "seg_epochs": draw(st.integers(1, 3)),
+              "dump_attention": draw(st.booleans()), "dump_confidence_every": draw(st.integers(0, 2))}
+    # A setting of a drawn field, or an unknown key, takes a junk value one time in three.
+    if _sometimes(draw, 3):
+        key = draw(st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)] + ["bogus"]))
+        # The paths stay in the run's directory: a string there would name a directory anywhere.
+        # And a loop count past 100 is a long run, not an error.
+        junk = _JSON_JUNK.filter(lambda v: not (isinstance(v, str) and key.endswith("_dir") or
+                                                type(v) is int and v > 100 and key in _LOOP_COUNTS))
+        config[key] = draw(junk)
+    flags = [f"{flag}={draw(_int_texts(st.integers(-1, 2)))}" for flag in ("--seed", "--jobs") if draw(st.booleans())]
+    corpus = draw(_inputs(_run_corpus()))
+    return corpus, config, draw(st.sampled_from(["valid"] * 4 + ["damaged", "nodir"])), flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_runs())
+def test_run_command_exits_0_or_1(run):
+    corpus, config, config_kind, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in corpus.items():
+            (tmp / "corpus" / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp / "corpus" / name).write_bytes(data)
+        text = json.dumps({"corpus_dir": str(tmp / "corpus"), "out_dir": str(tmp / "out"), **config}).encode()
+        path = tmp / ("nodir" if config_kind == "nodir" else "") / "config.json"
+        if path.parent.is_dir():
+            path.write_bytes(text[: len(text) // 2] if config_kind == "damaged" else text)
+        assert main(["run", "--config", str(path), *flags]) in (0, 1), run
 
 
 class TestCrfFlags:
@@ -618,6 +833,7 @@ class TestExitCodes:
             "train-head": ["--features-dir", "f", "--boxes-dir", "b", "--out", "h.btf"],
             "nal-train": ["--features-dir", "f", "--labels-crf-dir", "c", "--labels-ret-dir", "r", "--out-head", "s.btf"],
             "eval": ["--pred-dir", "p", "--ref-dir", "r"],
+            "crf": ["--unary", "u", "--image", "i", "--out", "y"],
         }[command]
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -695,6 +911,45 @@ class TestExitCodes:
         assert (f"input error: stage 'nal-train': label maps differ in shape: {crf_path} is 64x64, {ret_path} "
                 "is 32x32 (width x height)") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value, low", [
+        ("train-head", "--seed", "-3", 0), ("nal-train", "--seed", "-1", 0), ("train-head", "--grid-size", "0", 1),
+        ("crf", "--iters", "-1", 0),
+    ])
+    def test_int_setting_out_of_range_names_its_flag(self, tmp_path, capsys, command, flag, value, low):
+        assert main([command, *self._required(command, tmp_path), flag, value]) == 1
+        assert f"usage error: argument {flag}: must be >= {low}, got {value}" in capsys.readouterr().err
+
+    def test_failed_labels_stage_makes_no_directory(self, tmp_path, capsys):
+        corpus, out, cfg = tmp_path / "corpus", tmp_path / "out", tmp_path / "cfg.json"
+        assert main(["synth", "--out", str(corpus), "--images", "2", "--size", "16"]) == 0
+        (corpus / "images" / "0001.ppm").unlink()
+        for stages, message in [(["train-head", "labels"], "missing image file"), (["eval"], "nothing to evaluate")]:
+            cfg.write_text(PipelineConfig(corpus_dir=str(corpus), out_dir=str(out), stages=stages,
+                                          dump_attention=True).to_json())
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg)]) == 1
+            assert message in capsys.readouterr().err
+            assert not (out / "labels").exists() and not (out / "attention").exists()
+
+    def test_boxes_frame_checked_before_the_unary(self, corpus, trained_head, tmp_path, capsys, monkeypatch):
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps({"width": 1000, "height": 1000,
+                                     "boxes": [{"class": 1, "xmin": 0, "ymin": 0, "xmax": 500, "ymax": 500}]}))
+
+        def build_unary(*args):
+            raise AssertionError("built the unary of a frame that is not the image's")
+
+        monkeypatch.setattr(pipeline, "build_unary", build_unary)
+        outputs = [tmp_path / name for name in ("crf.pgm", "ret.pgm", "fused.pgm")]
+        rc = main(["labels", "--features", str(corpus / "features" / "0000.btf"), "--boxes", str(boxes),
+                   "--image", str(corpus / "images" / "0000.ppm"), "--head", str(trained_head),
+                   *(arg for flag, path in zip(("--out-crf", "--out-ret", "--out-fused"), outputs)
+                     for arg in (flag, str(path)))])
+        assert rc == 1
+        assert ("input error: boxes frame 1000x1000 does not match the 48x48 image (width x height)"
+                in capsys.readouterr().err)
+        assert not any(path.exists() for path in outputs)
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 
@@ -738,7 +993,7 @@ class TestOutputsInAMissingDirectory:
             inputs = ["--features-dir", str(tmp / "features"), "--labels-crf-dir", str(tmp / "crf"),
                       "--labels-ret-dir", str(tmp / "ret"), "--epochs", "1", "--dump-confidence-every", "1"]
             outputs = {"--out-head": "seg.btf", "--loss-csv": "loss.csv", "--dump-confidence-dir": "conf"}
-        paths = {flag: tmp / ("nodir" if flag == missing else "") / name for flag, name in outputs.items()}
+        paths = _output_paths(tmp, outputs, missing)
         argv = [command, *inputs, *(arg for flag, path in paths.items() for arg in (flag, str(path))), *flags]
         return argv, paths
 
@@ -800,6 +1055,25 @@ class TestMalformedJsonInputs:
         sidecar = head.with_suffix(".btf.json")
         sidecar.write_text(self.DEEP)
         self._input_error(capsys, self._labels(corpus, tmp_path, corpus / "boxes" / "0000.json", head), sidecar)
+
+    def test_head_scale_past_float_range(self, corpus, trained_head, tmp_path, capsys):
+        head = tmp_path / "head.btf"
+        head.write_bytes(trained_head.read_bytes())
+        sidecar = head.with_suffix(".btf.json")
+        meta = json.loads(trained_head.with_suffix(".btf.json").read_text())
+        sidecar.write_text(json.dumps({**meta, "scale": 10**400}))
+        self._input_error(capsys, self._labels(corpus, tmp_path, corpus / "boxes" / "0000.json", head), sidecar)
+        assert not (tmp_path / "crf.pgm").exists()
+
+    @pytest.mark.parametrize("value", [2**70, 10**400], ids=["past-int64", "past-float"])
+    def test_config_float_given_a_large_int(self, tmp_path, capsys, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"corpus_dir": "c", "out_dir": str(tmp_path / "out"), "stages": [],
+                                    "head_lr": value}))
+        rc = main(["run", "--config", str(path)])
+        assert rc == (0 if value < 1e308 else 1)
+        if rc:
+            assert "input error: head_lr must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [DEEP, "{}", "[]", '{"num_classes": "3"}', '{"num_classes": true}',
                                       '{"num_classes": 0}', '{"num_classes": 255}'],

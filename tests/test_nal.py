@@ -129,7 +129,7 @@ class TestNalLoss:
         f, head, fused = self._instance(rng)
         monkeypatch.setattr(nal, "confidence_map", lambda *a: np.ones(f.shape[1:]))
         report, _ = nal_loss_and_grad(prepare_seg_sample(f, fused), head, gamma=7.0, lam=0.1)
-        idx = fused.disagree
+        idx = ~fused.agree
         x = f.reshape(3, -1).T[idx.ravel()]
         t = fused.y_crf[idx].astype(np.intp)
         plain, _ = ce_loss_and_grad(head, x, t)

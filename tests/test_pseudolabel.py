@@ -99,14 +99,14 @@ class TestFuseLabels:
         y = np.array([[0, 1], [2, 0]], dtype=np.uint8)
         fused = fuse_labels(y, y.copy())
         assert np.array_equal(fused.fused, y)
-        assert fused.agree.all() and not fused.disagree.any()
+        assert fused.agree.all()
 
     def test_full_disagreement_is_all_ignore(self):
         a = np.zeros((2, 2), dtype=np.uint8)
         b = np.ones((2, 2), dtype=np.uint8)
         fused = fuse_labels(a, b)
         assert np.all(fused.fused == IGNORE)
-        assert fused.disagree.all()
+        assert not fused.agree.any()
 
     def test_checkerboard_counts_match_brute_force(self):
         rng = np.random.default_rng(2)
@@ -117,15 +117,20 @@ class TestFuseLabels:
         fused = fuse_labels(a, b)
         agree_count = sum(int(a[y, x] == b[y, x]) for y in range(9) for x in range(9))
         assert int(fused.agree.sum()) == agree_count
-        assert np.all(fused.fused[fused.disagree] == IGNORE)
+        assert np.all(fused.fused[~fused.agree] == IGNORE)
         assert np.array_equal(fused.fused[fused.agree], a[fused.agree])
+
+    @pytest.mark.parametrize("value", [256, -1])
+    def test_values_past_a_byte_rejected(self, value):
+        with pytest.raises(ValueError, match=r"label values must lie in \[0, 255\]"):
+            fuse_labels(np.array([[value, 1]]), np.array([[0, 1]]))
 
     def test_partition_is_exact(self):
         rng = np.random.default_rng(3)
         a = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
         b = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
         fused = fuse_labels(a, b)
-        assert np.array_equal(fused.agree, ~fused.disagree)
+        assert np.array_equal(fused.agree, a == b)
         assert np.array_equal(fused.fused != IGNORE, fused.agree)
 
     def test_shape_mismatch_rejected(self):
