@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clshead, fileio, metrics, pipeline, synth
-from .core import IGNORE, MAX_CLASSES
+from .core import IGNORE
 from .crf import CrfParams, mean_field
 
 
@@ -40,9 +39,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops the value of `--w1=--` and would store [] without calling the flag's type.
+        if arg_strings == ["--"] and action.option_strings:
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 # Each stage subcommand's settings flags, by the PipelineConfig field that gives a flag its
-# default and type and names its value; `bana labels` and `bana crf` add the CrfParams flags.
+# default, type and checks and names its value; `bana labels` and `bana crf` add the CrfParams flags.
 _STAGE_FLAGS = {
     "train-head": {"--grid-size": "grid_size_train", "--epochs": "head_epochs", "--lr": "head_lr", "--seed": "seed"},
     "labels": {"--grid-size": "grid_size_label", "--attn-threshold": "attn_threshold"},
@@ -53,35 +58,45 @@ _CRF_FLAGS = {"--iters": "iterations", "--w1": "w1", "--w2": "w2",
 _FLAG_HELP = {"--attn-threshold": "background score threshold; 0 keeps the raw attention map"}
 
 
-def _int_at_least(low: int, text: str) -> int:
-    """``text`` as an int of at least ``low``; with ``low`` bound, an argparse type."""
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:  # argparse would name this function in its message
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
-_positive_int = functools.partial(_int_at_least, 1)
+def _setting(base, name: str):
+    """The argparse type of a flag that sets field ``name`` of the dataclass ``base``: the text
+    as that field's type, checked by replacing the field in ``base``, whose message it keeps."""
+    kind = {"int": int, "int | None": int, "float": float}[{f.name: f.type for f in dataclasses.fields(base)}[name]]
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:  # argparse would name this function in its message
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        try:
+            dataclasses.replace(base, **{name: value})
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e).removeprefix(f"{name} ")) from None
+        return value
+
+    return parse
 
 
-def _class_count(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_CLASSES:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_CLASSES}, got {value}")
-    return value
+# The settings every flag below is checked against; their paths are never read.
+_CONFIG, _CRF = pipeline.PipelineConfig(corpus_dir="", out_dir=""), CrfParams()
+_num_classes = _setting(_CONFIG, "num_classes")
 
 
-def _add_settings_flags(p: argparse.ArgumentParser, fields_of: type, flags: dict[str, str]) -> None:
-    """Add ``flags``, each defaulting to the field of the dataclass ``fields_of`` that it names."""
-    defaults = {f.name: f.default for f in dataclasses.fields(fields_of)}
+def _add_settings_flags(p: argparse.ArgumentParser, base, flags: dict[str, str]) -> None:
+    """Add ``flags``, each defaulting to and checked by the field of the dataclass ``base`` that it names."""
     for flag, name in flags.items():
-        kind = type(defaults[name])
-        if kind is int:  # a count; only a seed or an iteration count may be 0
-            kind = functools.partial(_int_at_least, 0 if name in ("seed", "iterations") else 1)
-        p.add_argument(flag, dest=name, type=kind, default=defaults[name], help=_FLAG_HELP.get(flag))
+        p.add_argument(flag, dest=name, type=_setting(base, name), default=getattr(base, name),
+                       help=_FLAG_HELP.get(flag))
 
 
 def _check_outputs(args, *names: str) -> None:
@@ -111,18 +126,18 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--images", type=_positive_int, default=50)
     p.add_argument("--size", type=_positive_int, default=64)
-    p.add_argument("--classes", type=_class_count, default=3)
+    p.add_argument("--classes", type=_num_classes, default=3)
 
     p = sub.add_parser("run", help="run the configured pipeline stages")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=None, help="override the config worker count")
+    p.add_argument("--seed", type=_setting(_CONFIG, "seed"), default=None, help="override the config seed")
+    p.add_argument("--jobs", type=_setting(_CONFIG, "jobs"), default=None, help="override the config worker count")
 
     p = sub.add_parser("train-head", help="train the classification head")
     p.add_argument("--features-dir", required=True)
     p.add_argument("--boxes-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=_class_count, default=None, help="number of object classes (default: inferred)")
+    p.add_argument("--classes", type=_num_classes, default=None, help="number of object classes (default: inferred)")
 
     p = sub.add_parser("labels", help="generate pseudo labels for one image")
     p.add_argument("--features", required=True)
@@ -146,23 +161,23 @@ def build_parser() -> _Parser:
     p.add_argument("--labels-crf-dir", required=True)
     p.add_argument("--labels-ret-dir", required=True)
     p.add_argument("--out-head", required=True)
-    p.add_argument("--classes", type=_class_count, default=None)
+    p.add_argument("--classes", type=_num_classes, default=None)
     p.add_argument("--loss-csv", default=None)
     p.add_argument("--dump-confidence-dir", default=None,
                    help="write per-image confidence maps as .btf while training")
-    p.add_argument("--dump-confidence-every", type=int, default=10,
+    p.add_argument("--dump-confidence-every", type=_setting(_CONFIG, "dump_confidence_every"), default=10,
                    help="epoch stride for the confidence dumps; 0 writes none")
 
     p = sub.add_parser("eval", help="score predictions against references")
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--ref-dir", required=True)
-    p.add_argument("--classes", type=_class_count, required=True)
+    p.add_argument("--classes", type=_num_classes, required=True)
     p.add_argument("--out", default=None, help="write the JSON report here as well")
 
     for command, flags in _STAGE_FLAGS.items():
-        _add_settings_flags(sub.choices[command], pipeline.PipelineConfig, flags)
+        _add_settings_flags(sub.choices[command], _CONFIG, flags)
     for command in ("labels", "crf"):
-        _add_settings_flags(sub.choices[command], CrfParams, _CRF_FLAGS)
+        _add_settings_flags(sub.choices[command], _CRF, _CRF_FLAGS)
     return parser
 
 

@@ -83,7 +83,7 @@ class CrfParams:
             if not low <= value <= high:
                 raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value}")
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 
 
 def build_unary(

@@ -90,14 +90,20 @@ class PipelineConfig:
     dump_confidence_every: int = 0
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")  # "int | None": None allowed
+            if value is None and optional:
+                continue
+            if type(value) not in _JSON_TYPES[kind] or (kind == "list[str]" and any(type(v) is not str for v in value)):
+                raise ValueError(f"config key '{f.name}' must be {kind}{' or null' if optional else ''}, got {value!r}")
+            # Compared as Python numbers: NaN, the infinities and JSON ints past float range fail.
+            if kind == "float" and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be finite, got {value}")
         bad = [s for s in self.stages if s not in STAGES]
         if bad:
             raise ValueError(f"unknown stages {bad}; valid stages are {list(STAGES)}")
         self.stages = [s for s in STAGES if s in self.stages]
-        for f in dataclasses.fields(self):
-            # Compared as Python numbers: NaN, the infinities and JSON ints past float range fail.
-            if f.type == "float" and not abs(getattr(self, f.name)) <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for rule, ok, keys in (
             (f"in [1, {MAX_CLASSES}]", lambda v: 1 <= v <= MAX_CLASSES, ("num_classes",)),
             (">= 1", lambda v: v >= 1, ("jobs", "grid_size_train", "head_epochs", "grid_size_label", "gamma",
@@ -128,19 +134,12 @@ class PipelineConfig:
     def from_dict(cls, d: dict) -> "PipelineConfig":
         if not isinstance(d, dict):
             raise ValueError("a config must be a JSON object")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(d) - set(types)
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         missing = [k for k in ("corpus_dir", "out_dir") if k not in d]
         if missing:
             raise ValueError(f"missing config keys: {missing}")
-        for key, value in d.items():
-            kind, _, optional = types[key].partition(" | ")  # "int | None": null allowed
-            if value is None and optional:
-                continue
-            if type(value) not in _JSON_TYPES[kind] or (kind == "list[str]" and any(type(v) is not str for v in value)):
-                raise ValueError(f"config key '{key}' must be {kind}{' or null' if optional else ''}, got {value!r}")
         return cls(**d)
 
     @classmethod
@@ -233,7 +232,11 @@ def train_head(features_dir: Path, boxes_dir: Path, ids: list[str], num_classes:
     xs, ys = [], []
     for image_id in ids:
         f = fileio.read_tensor(features_dir / f"{image_id}.btf", expected_rank=3)
-        boxes = fileio.read_boxes(_require(boxes_dir / f"{image_id}.json", "train-head", "boxes file"))
+        path = _require(boxes_dir / f"{image_id}.json", "train-head", "boxes file")
+        boxes = fileio.read_boxes(path)
+        top = max((b.class_id for b in boxes.boxes), default=0)
+        if top > num_classes:
+            raise PipelineError(f"stage 'train-head': box class {top} in {path} is past the {num_classes} classes")
         x, y = collect_training_samples(f, boxes, grid_size)
         if xs and x.shape[1] != xs[0].shape[1]:
             raise PipelineError(f"stage 'train-head': image {image_id} has {x.shape[1]} feature channels, "
@@ -279,13 +282,17 @@ def generate_labels_for_image(
 
     Returns the fused label bundle, the attention map (feature resolution),
     and the per-box filling rates of the fused labels. A boxes frame other
-    than the image's size is rejected before any map is built.
+    than the image's size, or a box class past the head's, is rejected
+    before any map is built.
     """
     if image.shape[:2] != (boxes.image_height, boxes.image_width):
         raise ValueError(f"boxes frame {boxes.image_width}x{boxes.image_height} does not match the "
                          f"{image.shape[1]}x{image.shape[0]} image (width x height)")
+    class_ids = boxes.class_ids()
+    if class_ids and class_ids[-1] > head.num_classes:
+        raise ValueError(f"box class {class_ids[-1]} is past the head's {head.num_classes} classes")
     _, _, attn = _background_attention(features, boxes, grid_size)
-    cams = {c: cam(features, head, c) for c in boxes.class_ids()}
+    cams = {c: cam(features, head, c) for c in class_ids}
     unary = build_unary(cams, attn, boxes, head.num_classes, tau)
     y_crf, _ = mean_field(unary, image, crf_params)
     # y_crf is an argmax, never IGNORE, so there is at least one prototype.
@@ -383,19 +390,28 @@ def nal_train(features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], 
     noise-aware loss; returns the head and per-epoch losses. ``settings`` holds
     the keyword arguments of :func:`~bana.nal.train_seg_head`. Each image's
     confidence map goes to ``confidence_dir`` at epochs 0, N, 2N, ... for
-    ``confidence_every`` N >= 1; N = 0 writes none."""
+    ``confidence_every`` N >= 1; N = 0 writes none. A run that fails removes them."""
     if confidence_every < 0:
         raise ValueError(f"confidence_every must be >= 0, got {confidence_every}")
     samples = _load_seg_samples(features_dir, crf_dir, ret_dir, ids, num_classes)
-    hook = None
+    hook, written = None, []
+    made_dir = confidence_dir is not None and not confidence_dir.exists()
     if confidence_dir is not None and confidence_every > 0:
         # Made at the first dump, so settings that train_seg_head rejects leave no directory behind.
         def hook(epoch, index, sigma):
             if epoch % confidence_every == 0:
                 confidence_dir.mkdir(parents=True, exist_ok=True)
-                fileio.write_tensor(confidence_dir / f"{ids[index]}_epoch{epoch:03d}.btf", sigma)
+                written.append(confidence_dir / f"{ids[index]}_epoch{epoch:03d}.btf")
+                fileio.write_tensor(written[-1], sigma)
 
-    return nal.train_seg_head(samples, num_classes, confidence_hook=hook, **settings)
+    try:
+        return nal.train_seg_head(samples, num_classes, confidence_hook=hook, **settings)
+    except (ValueError, OSError):  # a failed run leaves no dumps, and no directory that it made
+        for path in written:
+            path.unlink(missing_ok=True)
+        if made_dir and confidence_dir.exists():
+            confidence_dir.rmdir()
+        raise
 
 
 def _seg_settings(cfg: PipelineConfig) -> dict:

@@ -10,6 +10,7 @@ The bench files are read, never changed.
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -19,6 +20,7 @@ from bana.crf import CrfParams
 from bana.synth import synth_corpus
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 
 
 def _load(monkeypatch, name: str, filename: str):
@@ -58,3 +60,13 @@ def test_paper_crf_holds_every_crf_params_default(monkeypatch):
     # run.py documents PAPER_CRF as the defaults of CrfParams, under config keys.
     run = _load(monkeypatch, "bench_run", "run.py")
     assert run.PAPER_CRF == {f"crf_{f.name}": getattr(CrfParams(), f.name) for f in fields(CrfParams)}
+
+
+def test_import_bana_loads_every_traced_module(monkeypatch):
+    # The tracer rebinds functions only in the modules already loaded, so a bare
+    # `import bana` in a fresh interpreter must load every module it traces.
+    spans = _load(monkeypatch, "bench_spans", "spans.py")
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import bana; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert sorted(set(spans.TARGETS) - set(loaded)) == []

@@ -805,15 +805,16 @@ class TestRunAndEval:
         for args in (nal_args, head_args):
             assert main(args + ["--epochs", "0"]) == 1
             assert "--epochs" in capsys.readouterr().err
-            for lr in ("-1", "nan"):
+            for lr, rule in [("-1", "must be > 0, got -1.0"), ("nan", "must be finite, got nan")]:
                 assert main(args + ["--lr", lr, "--epochs", "1"]) == 1
-                assert "input error: lr must be finite and > 0" in capsys.readouterr().err
+                assert f"usage error: argument --lr: {rule}" in capsys.readouterr().err
         # So are a lambda, a gamma or a dump stride out of range, before any training step.
-        for flag, value, name in [("--lambda", "-1", "lam"), ("--lambda", "nan", "lam"), ("--lambda", "inf", "lam"),
-                                  ("--gamma", "nan", "gamma"), ("--gamma", "0.5", "gamma"),
-                                  ("--dump-confidence-every", "-1", "confidence_every")]:
+        for flag, value, rule in [("--lambda", "-1", "must be >= 0, got -1.0"), ("--lambda", "nan", "must be finite"),
+                                  ("--lambda", "inf", "must be finite"), ("--gamma", "nan", "must be finite"),
+                                  ("--gamma", "0.5", "must be >= 1, got 0.5"),
+                                  ("--dump-confidence-every", "-1", "must be >= 0, got -1")]:
             assert main(nal_args + [flag, value, "--epochs", "1"]) == 1
-            assert f"input error: {name} must be" in capsys.readouterr().err
+            assert f"usage error: argument {flag}: {rule}" in capsys.readouterr().err
 
     def test_bad_config_is_input_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -834,6 +835,9 @@ class TestExitCodes:
             "nal-train": ["--features-dir", "f", "--labels-crf-dir", "c", "--labels-ret-dir", "r", "--out-head", "s.btf"],
             "eval": ["--pred-dir", "p", "--ref-dir", "r"],
             "crf": ["--unary", "u", "--image", "i", "--out", "y"],
+            "labels": ["--features", "f", "--boxes", "b", "--image", "i", "--head", "h",
+                       "--out-crf", "c", "--out-ret", "r", "--out-fused", "u"],
+            "run": ["--config", "cfg.json"],
         }[command]
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -842,14 +846,15 @@ class TestExitCodes:
     ])
     def test_counts_must_be_positive(self, tmp_path, capsys, command, flag, value):
         assert main([command, *self._required(command, tmp_path), flag, value]) == 1
-        assert f"usage error: argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+        rule = "must be in [1, 254]" if flag == "--classes" else "must be >= 1"
+        assert f"usage error: argument {flag}: {rule}, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("command", ["synth", "train-head", "nal-train", "eval"])
     def test_class_counts_past_254_rejected(self, tmp_path, capsys, command):
         # Labels are bytes and 255 is IGNORE, so at most 254 object classes.
         assert main([command, *self._required(command, tmp_path), "--classes", "255"]) == 1
-        assert "usage error: argument --classes: must be <= 254, got 255" in capsys.readouterr().err
+        assert "usage error: argument --classes: must be in [1, 254], got 255" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     def test_more_than_254_classes_in_config_writes_nothing(self, corpus, tmp_path, capsys):
@@ -919,6 +924,52 @@ class TestExitCodes:
         assert main([command, *self._required(command, tmp_path), flag, value]) == 1
         assert f"usage error: argument {flag}: must be >= {low}, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value, rule", [
+        ("synth", "--classes", "255", "must be in [1, 254], got 255"),
+        ("run", "--seed", "-1", "must be >= 0, got -1"), ("run", "--jobs", "0", "must be >= 1, got 0"),
+        ("train-head", "--classes", "0", "must be in [1, 254], got 0"),
+        ("train-head", "--grid-size", "0", "must be >= 1, got 0"),
+        ("train-head", "--epochs", "0", "must be >= 1, got 0"),
+        ("train-head", "--lr", "0", "must be > 0, got 0.0"), ("train-head", "--lr", "inf", "must be finite, got inf"),
+        ("train-head", "--seed", "-1", "must be >= 0, got -1"),
+        ("labels", "--grid-size", "0", "must be >= 1, got 0"),
+        ("labels", "--attn-threshold", "2", "must be in [0, 1], got 2.0"),
+        ("labels", "--attn-threshold", "nan", "must be finite, got nan"),
+        ("labels", "--iters", "-1", "must be >= 0, got -1"),
+        ("labels", "--w1", "-1", "must be in [0, 1e+100], got -1.0"),
+        ("labels", "--theta-alpha", "0", "must be in [1e-100, 1e+100], got 0.0"),
+        ("crf", "--iters", "-2", "must be >= 0, got -2"), ("crf", "--w1", "nan", "must be finite, got nan"),
+        ("crf", "--w2", "-1", "must be in [0, 1e+100], got -1.0"),
+        ("crf", "--theta-alpha", "1e101", "must be in [1e-100, 1e+100], got 1e+101"),
+        ("crf", "--theta-beta", "0", "must be in [1e-100, 1e+100], got 0.0"),
+        ("crf", "--theta-gamma", "-inf", "must be finite, got -inf"),
+        ("nal-train", "--classes", "255", "must be in [1, 254], got 255"),
+        ("nal-train", "--gamma", "0.5", "must be >= 1, got 0.5"),
+        ("nal-train", "--lambda", "-1", "must be >= 0, got -1.0"),
+        ("nal-train", "--epochs", "0", "must be >= 1, got 0"), ("nal-train", "--lr", "-1", "must be > 0, got -1.0"),
+        ("nal-train", "--seed", "-1", "must be >= 0, got -1"),
+        ("nal-train", "--dump-confidence-every", "-1", "must be >= 0, got -1"),
+        ("eval", "--classes", "255", "must be in [1, 254], got 255"),
+    ])
+    def test_setting_flag_checked_by_its_owner_before_any_read(self, tmp_path, capsys, command, flag, value, rule):
+        # The input paths do not exist, so only a check at parse time gives this message.
+        assert main([command, *self._required(command, tmp_path), f"{flag}={value}"]) == 1
+        assert capsys.readouterr().err == f"usage error: argument {flag}: {rule}\n"
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("command, flag", [("synth", "--images"), ("crf", "--w1"), ("crf", "--out")])
+    def test_double_dash_as_a_value_is_usage_error(self, tmp_path, capsys, command, flag):
+        # argparse drops the value of `--flag=--` and would store [] without calling its type.
+        assert main([command, *self._required(command, tmp_path), f"{flag}=--"]) == 1
+        assert capsys.readouterr().err == f"usage error: argument {flag}: expected one argument\n"
+        assert not (tmp_path / "c").exists()
+
+    def test_option_counts(self):
+        # Each flag, config key or CrfParams field a change adds or removes shows up here.
+        subcommands = build_parser()._subparsers._group_actions[0].choices.values()
+        flags = [a for p in subcommands for a in p._actions if a.option_strings and a.dest != "help"]
+        assert (len(flags), len(dataclasses.fields(PipelineConfig)), len(dataclasses.fields(CrfParams))) == (60, 23, 6)
+
     def test_failed_labels_stage_makes_no_directory(self, tmp_path, capsys):
         corpus, out, cfg = tmp_path / "corpus", tmp_path / "out", tmp_path / "cfg.json"
         assert main(["synth", "--out", str(corpus), "--images", "2", "--size", "16"]) == 0
@@ -949,6 +1000,39 @@ class TestExitCodes:
         assert ("input error: boxes frame 1000x1000 does not match the 48x48 image (width x height)"
                 in capsys.readouterr().err)
         assert not any(path.exists() for path in outputs)
+
+    def test_box_class_past_the_heads_checked_before_any_map(self, corpus, trained_head, tmp_path, capsys,
+                                                              monkeypatch):
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps({"width": 48, "height": 48,
+                                     "boxes": [{"class": 4, "xmin": 0, "ymin": 0, "xmax": 20, "ymax": 20}]}))
+
+        def background_attention(*args):
+            raise AssertionError("built a map for a box class the head does not have")
+
+        monkeypatch.setattr(pipeline, "_background_attention", background_attention)
+        outputs = [tmp_path / name for name in ("crf.pgm", "ret.pgm", "fused.pgm")]
+        rc = main(["labels", "--features", str(corpus / "features" / "0000.btf"), "--boxes", str(boxes),
+                   "--image", str(corpus / "images" / "0000.ppm"), "--head", str(trained_head),
+                   *(arg for flag, path in zip(("--out-crf", "--out-ret", "--out-fused"), outputs)
+                     for arg in (flag, str(path)))])
+        assert rc == 1
+        assert capsys.readouterr().err == "input error: box class 4 is past the head's 3 classes\n"
+        assert not any(path.exists() for path in outputs)
+
+    def test_box_class_past_classes_names_its_file(self, corpus, tmp_path, capsys, monkeypatch):
+        def sgd_train(*args, **kwargs):
+            raise AssertionError("trained on a box class past --classes")
+
+        monkeypatch.setattr(pipeline, "sgd_train", sgd_train)
+        first = next(path for path in sorted((corpus / "boxes").glob("*.json"))
+                     if max(b.class_id for b in fileio.read_boxes(path).boxes) > 1)
+        top = max(b.class_id for b in fileio.read_boxes(first).boxes)
+        assert main(["train-head", "--features-dir", str(corpus / "features"), "--boxes-dir", str(corpus / "boxes"),
+                     "--out", str(tmp_path / "head.btf"), "--classes", "1"]) == 1
+        assert (f"input error: stage 'train-head': box class {top} in {first} is past the 1 classes\n"
+                == capsys.readouterr().err)
+        assert not (tmp_path / "head.btf").exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
@@ -1014,7 +1098,13 @@ class TestOutputsInAMissingDirectory:
 
     def test_rejected_setting_leaves_no_confidence_directory(self, corpus, trained_head, tmp_path, capsys):
         argv, paths = self._argv("nal-train", tmp_path, corpus, trained_head, None, "--gamma", "0.5")
-        assert main(argv) == 1 and "input error: gamma must be >= 1" in capsys.readouterr().err
+        assert main(argv) == 1 and "usage error: argument --gamma: must be >= 1, got 0.5" in capsys.readouterr().err
+        assert not any(path.exists() for path in paths.values())
+
+
+    def test_diverged_training_leaves_no_confidence_dumps(self, corpus, trained_head, tmp_path, capsys):
+        argv, paths = self._argv("nal-train", tmp_path, corpus, trained_head, None, "--epochs", "2", "--lr", "1e300")
+        assert main(argv) == 1 and "input error: training diverged" in capsys.readouterr().err
         assert not any(path.exists() for path in paths.values())
 
 

@@ -86,6 +86,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             PipelineConfig.from_dict({"corpus_dir": "c", "out_dir": "o", key: value})
 
+    @pytest.mark.parametrize("key, value", [("jobs", "2"), ("stages", "labels"), ("seed", 1.5)])
+    def test_wrong_type_from_python_rejected(self, key, value):
+        # The rule from_dict applies to JSON holds for a config built in Python or by replace().
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            PipelineConfig(corpus_dir="c", out_dir="o", **{key: value})
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            dataclasses.replace(PipelineConfig(corpus_dir="c", out_dir="o"), **{key: value})
+
     def test_int_as_float_and_null_for_optional_ints_accepted(self):
         cfg = PipelineConfig.from_dict(
             {"corpus_dir": "c", "out_dir": "o", "crf_theta_alpha": 5, "num_classes": None}
