@@ -176,19 +176,22 @@ def _enclosing_simplices(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     # rank orders the coordinates' residuals, shifted back onto the plane.
     rem0 = np.rint(elevated / (d + 1)) * (d + 1)
     residual = elevated - rem0
-    rank = np.argsort(np.argsort(-residual, axis=1, kind="stable"), axis=1, kind="stable")
+    rows = np.arange(n)[:, None]
+    rank = np.empty((n, d + 1), dtype=np.int64)
+    rank[rows, np.argsort(-residual, axis=1, kind="stable")] = np.arange(d + 1)
     rank += np.rint(rem0.sum(axis=1) / (d + 1)).astype(np.int64)[:, None]
     shift = (rank < 0).astype(np.int64) - (rank > d)
     rank += shift * (d + 1)
     rem0 = rem0.astype(np.int64) + shift * (d + 1)
-    # Barycentric weights of the simplex vertices, by remainder.
-    t = (elevated - rem0) / (d + 1)
-    plus, minus = np.zeros((n, d + 2)), np.zeros((n, d + 2))
-    np.put_along_axis(plus, d - rank, t, axis=1)
-    np.put_along_axis(minus, d - rank + 1, t, axis=1)
-    bary = plus - minus
-    bary[:, 0] += 1.0 + bary[:, d + 1]
-    return rem0, rank, bary[:, : d + 1]
+    # Barycentric weights of the simplex vertices, by remainder: vertex k's is
+    # the offset ranked d - k less the one ranked d - k + 1, vertex 0's 1 plus
+    # the offset ranked d less the one ranked 0.
+    by_rank = np.empty((n, d + 1))
+    by_rank[rows, d - rank] = (elevated - rem0) / (d + 1)
+    bary = np.empty((n, d + 1))
+    bary[:, 1:] = by_rank[:, 1:] - by_rank[:, :-1]
+    bary[:, 0] = by_rank[:, 0] + (1.0 + (0.0 - by_rank[:, d]))
+    return rem0, rank, bary
 
 
 def _vertex_codes(rem0: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +211,7 @@ def _vertex_codes(rem0: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.nd
         raise ValueError("lattice keys do not fit 64 bits; the features span too many bandwidths")
     stride = (d + 1) * np.cumprod(np.concatenate(([1], radix[:-1])))
     stride_by_rank = np.zeros((n, d + 1), dtype=np.int64)
-    np.put_along_axis(stride_by_rank, rank[:, :d], stride, axis=1)
+    stride_by_rank[np.arange(n)[:, None], rank[:, :d]] = stride
     codes = np.arange(d + 1) + ((quot - low) @ stride)[:, None]
     codes[:, 1:] -= np.cumsum(stride_by_rank[:, :0:-1], axis=1)
     return codes, stride
@@ -233,6 +236,13 @@ class _Lattice:
     keys, packed into one int64 each. An empty lattice point that is a blur
     neighbour of two occupied vertices is a vertex too, so the values that
     cross it between them are kept rather than dropped.
+
+    A step ahead takes a key of remainder r to remainder r - 1 (0 to d) and
+    adds one constant per direction, so a class's keys one step ahead are
+    sorted along each direction and looked up among the class below's, about
+    m / (d+1) keys. ``neighbours[j]`` holds direction j's next vertex of each
+    vertex, then its previous one (m, an always-zero slot, where there is
+    none), so that one gather fetches both.
     """
 
     def __init__(self, features: np.ndarray) -> None:
@@ -248,47 +258,56 @@ class _Lattice:
         # every quotient drops by one.
         step = (np.append(stride, 0) - 1)[:, None]
         wrap = d + 1 - stride.sum()
-
-        def ahead(c):  # (d+1, c.size): the code one step ahead in each direction
-            return c + step + np.where(c % (d + 1) == 0, wrap, 0)
-
-        def behind(c):
-            return c - step - np.where(c % (d + 1) == d, wrap, 0)
-
         # One argsort of the points' codes gives the occupied vertices and,
         # once the vertex set is known, every point's vertex indices.
         order = np.argsort(codes, axis=None)
         ranked = codes.ravel()[order]
         first = np.append(True, ranked[1:] != ranked[:-1])
         occupied = ranked[first]
-        near, hits = _distinct(np.concatenate([ahead(occupied), behind(occupied)]))
-        vertices, _ = _distinct(np.concatenate([occupied, near[hits >= 2]]))
+        rem = occupied % (d + 1)
+        near, hits = _distinct(np.concatenate([  # the codes a step ahead and a step behind
+            occupied + step + np.where(rem == 0, wrap, 0), occupied - step - np.where(rem == d, wrap, 0)]))
+        merged = np.sort(np.concatenate([occupied, near[hits >= 2]]), kind="stable")  # merges two sorted runs
+        vertices = merged[np.append(True, merged[1:] != merged[:-1])]
         self.size = m = vertices.size
         self.index = np.empty(codes.shape, dtype=np.int64)  # (n, d+1)
         self.index.ravel()[order] = np.searchsorted(vertices, occupied)[np.cumsum(first) - 1]
-        del codes, order, ranked, first, occupied, near, hits
-        target = ahead(vertices)
-        i = np.searchsorted(vertices, target)
-        np.minimum(i, m - 1, out=i)
-        found = vertices[i] == target
-        del target
-        i[~found] = m  # m: an always-zero slot
+        del codes, order, ranked, first, occupied, rem, near, hits, merged
+        table = [np.full(2 * m + 1, m) for _ in range(d + 1)]
+        remainder = vertices % (d + 1)
+        members = [np.flatnonzero(remainder == r) for r in range(d + 1)]
+        for r, source in enumerate(members):
+            below = members[r - 1]
+            target = vertices[source] + step + (wrap if r == 0 else 0)
+            k = below[np.minimum(np.searchsorted(vertices[below], target), below.size - 1)]
+            k[vertices[k] != target] = m
+            for row, ahead_of in zip(table, k):
+                row[source] = ahead_of
         # The step ahead is one-to-one within each direction, so one scatter
-        # inverts it; the missing neighbours all land in column m, cut off after.
-        prev = np.full((d + 1, m + 1), m)
-        prev[np.arange(d + 1)[:, None], i] = np.arange(m)
-        self.neighbours = list(zip(i, prev[:, :m]))
+        # per row inverts it; the missing neighbours all land in column 2m.
+        for row in table:
+            row[m + row[:m]] = np.arange(m)
+        self.neighbours = [row[: 2 * m] for row in table]
 
     def blur(self, values: np.ndarray) -> np.ndarray:
         """(n, L) values -> (n, L) filtered values."""
-        m = self.size
-        lat = np.zeros((m + 1, values.shape[1]))
-        flat = self.index.ravel()
-        for l in range(values.shape[1]):
-            lat[:m, l] = np.bincount(flat, weights=(self.weights * values[:, l, None]).ravel(), minlength=m)
-        for next_, prev in self.neighbours:
-            lat[:m] = 0.5 * lat[:m] + 0.25 * (lat.take(next_, axis=0) + lat.take(prev, axis=0))
-        return np.einsum("nrl,nr->nl", lat.take(self.index, axis=0), self.weights)
+        m, L = self.size, values.shape[1]
+        lat = np.zeros((m + 1, L))
+        flat, weights = self.index.ravel(), self.weights.ravel()
+        for l in range(L):  # each point's value once per vertex of its simplex
+            lat[:m, l] = np.bincount(flat, weights=weights * np.repeat(values[:, l], self.index.shape[1]), minlength=m)
+        # 0.5 x + 0.25 (next + previous) per direction. Every index is in
+        # [0, m], so "clip" clips none; unlike "raise", it fills ``out`` as is.
+        pair = np.empty((2 * m, L))
+        for both in self.neighbours:
+            lat.take(both, axis=0, out=pair, mode="clip")
+            pair[:m] += pair[m:]
+            pair[:m] *= 0.25
+            lat[:m] *= 0.5
+            lat[:m] += pair[:m]
+        del pair  # each large buffer is freed before the next is made
+        lat = lat.take(self.index, axis=0)  # (n, d+1, L), freeing the vertex values
+        return np.einsum("nrl,nr->nl", lat, self.weights)
 
 
 def _lattice_term(features: np.ndarray) -> tuple[_Lattice, float]:

@@ -16,6 +16,7 @@ Generation is fully determined by the seed.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +115,17 @@ def synth_corpus(
     partition each), so every ground-truth pixel lies inside at most one box.
     Every setting is checked before any directory is created.
     """
+    settings = {"seed": seed, "num_images": num_images, "size": size, "num_classes": num_classes,
+                "feat_stride": feat_stride, "feat_dim": feat_dim}
+    for name, value in settings.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if num_images < 1:
+        raise ValueError(f"num_images must be >= 1, got {num_images}")
     if not MIN_SIZE <= size <= 128:
         raise ValueError(f"size must be in [{MIN_SIZE}, 128], got {size}")
+    if feat_stride < 1:
+        raise ValueError(f"feat_stride must be >= 1, got {feat_stride}")
     if size % feat_stride != 0:
         raise ValueError(f"size {size} must be a multiple of feat_stride {feat_stride}")
     if seed < 0:

@@ -15,7 +15,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from bana import pipeline
+import numpy as np
+
+from bana import crf, pipeline
 from bana.crf import CrfParams
 from bana.synth import synth_corpus
 
@@ -70,3 +72,26 @@ def test_import_bana_loads_every_traced_module(monkeypatch):
     loaded = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True,
                             check=True).stdout.split()
     assert sorted(set(spans.TARGETS) - set(loaded)) == []
+
+
+def test_zero_iterations_still_build_the_lattice(monkeypatch):
+    # run.py's CRF probe times set-up as mean_field with 0 iterations, so that
+    # call must still build the lattice once and calibrate it once.
+    calls = {"lattice": 0, "term": 0}
+    lattice, term = crf._Lattice, crf._lattice_term
+
+    def counted_lattice(features):
+        calls["lattice"] += 1
+        return lattice(features)
+
+    def counted_term(features):
+        calls["term"] += 1
+        return term(features)
+
+    monkeypatch.setattr(crf, "_Lattice", counted_lattice)
+    monkeypatch.setattr(crf, "_lattice_term", counted_term)
+    rng = np.random.default_rng(0)
+    unary = rng.uniform(size=(3, 8, 8))
+    image = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
+    crf.mean_field(unary, image, CrfParams(iterations=0))
+    assert calls == {"lattice": 1, "term": 1}

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bana import crf, fileio
 from bana.clshead import softmax
 from bana.core import BBox, BoxSet
 from bana.crf import CrfParams, build_unary, mean_field
+from bana.pipeline import PipelineConfig
 from bana.synth import synth_corpus
 
 
@@ -267,6 +269,98 @@ def test_lattice_vertex_codes_match_their_definition():
     values, counts = crf._distinct(codes)
     reference = np.unique(codes, return_counts=True)
     assert np.array_equal(values, reference[0]) and np.array_equal(counts, reference[1])
+
+
+def _lattice_reference(features):
+    """The lattice's vertex count, each point's vertex indices and, per
+    direction, every vertex's next and previous vertex index (m where there is
+    none), from the definitions and in Python ints: a code is decoded into
+    the first d coordinates (less d+1 times their lowest quotients), stepped
+    and encoded again."""
+    rem0, rank, _ = crf._enclosing_simplices(features)
+    codes, stride = crf._vertex_codes(rem0, rank)
+    d, stride = features.shape[1], [int(s) for s in stride]
+
+    def coordinates(code):
+        r, quotients = code % (d + 1), []
+        rest = code - r
+        for s in reversed(stride):
+            quotients.insert(0, rest // s)
+            rest -= quotients[0] * s
+        return [r + (d + 1) * q for q in quotients]
+
+    def step(code, j, sign):  # along direction j: +(d+1) on coordinate j, -1 on every one
+        x = [xk + sign * ((d + 1) * (k == j) - 1) for k, xk in enumerate(coordinates(code))]
+        r = x[0] % (d + 1)
+        return r + sum((xk - r) // (d + 1) * s for xk, s in zip(x, stride))
+
+    occupied = set(codes.ravel().tolist())
+    hits = Counter(step(c, j, sign) for c in occupied for j in range(d + 1) for sign in (1, -1))
+    vertices = sorted(occupied | {c for c, count in hits.items() if count >= 2})
+    position = {c: i for i, c in enumerate(vertices)}
+    m = len(vertices)
+    index = np.array([[position[c] for c in row] for row in codes.tolist()])
+    tables = [np.array([position.get(step(c, j, sign), m) for sign in (1, -1) for c in vertices]) for j in range(d + 1)]
+    return m, index, tables
+
+
+def _reference_blur(index, weights, tables, values):
+    # The splat, the [1, 2, 1] / 4 blur per direction and the slice, written as
+    # the lattice first computed them.
+    m = tables[0].size // 2
+    lat = np.zeros((m + 1, values.shape[1]))
+    for l in range(values.shape[1]):
+        lat[:m, l] = np.bincount(index.ravel(), weights=(weights * values[:, l, None]).ravel(), minlength=m)
+    for both in tables:
+        lat[:m] = 0.5 * lat[:m] + 0.25 * (lat.take(both[:m], axis=0) + lat.take(both[m:], axis=0))
+    return np.einsum("nrl,nr->nl", lat.take(index, axis=0), weights)
+
+
+def _corpus_features(tmp_path):
+    # Image 0000 of the seed-0 64^2 corpus under the pipeline's and the paper's
+    # CRF settings, scaled as mean_field scales them.
+    synth_corpus(tmp_path, seed=0, num_images=1, size=64, num_classes=3)
+    pos, col = crf._pixel_features(fileio.read_image(tmp_path / "images" / "0000.ppm"))
+    for params in (PipelineConfig(corpus_dir="c", out_dir="o").crf_params(), CrfParams()):
+        yield np.hstack([pos * min(1.0 / params.theta_alpha, crf._MAX_FEATURE_STEP),
+                         col * min(1.0 / params.theta_beta, crf._MAX_FEATURE_STEP)])
+
+
+def test_lattice_matches_its_definition(tmp_path):
+    rng = np.random.default_rng(7)
+    for features in [rng.normal(scale=3.0, size=(500, 5)), *_corpus_features(tmp_path)]:
+        m, index, tables = _lattice_reference(features)
+        lattice = crf._Lattice(features)
+        assert lattice.size == m
+        assert np.array_equal(lattice.index, index)
+        # Each direction's next then previous vertex index.
+        assert [np.reshape(both, -1).tolist() for both in lattice.neighbours] == [t.tolist() for t in tables]
+        weights = crf._enclosing_simplices(features)[2]
+        for values in (np.ones((features.shape[0], 1)), rng.uniform(size=(features.shape[0], 4))):
+            assert lattice.blur(values).tobytes() == _reference_blur(index, weights, tables, values).tobytes()
+
+
+# mean_field's tracemalloc peak on image 0000 of the seed-0 64^2 corpus with
+# its ground-truth unary: the lattice before its one-gather blur peaked at
+# 3,965,836 bytes (pipeline setting) and 2,955,278 (CrfParams()), and the
+# bounds are 5% above those.
+_PEAK_BYTES = {"pipeline": 4_164_128, "paper": 3_103_042}
+
+
+def test_mean_field_peak_memory_is_bounded(tmp_path):
+    synth_corpus(tmp_path, seed=0, num_images=1, size=64, num_classes=3)
+    image = fileio.read_image(tmp_path / "images" / "0000.ppm")
+    gt = fileio.read_label_map(tmp_path / "gt" / "0000.pgm", 3)
+    unary = (np.arange(4)[:, None, None] == gt).astype(np.float64)
+    for name, params in (("pipeline", PipelineConfig(corpus_dir="c", out_dir="o").crf_params()), ("paper", CrfParams())):
+        mean_field(unary, image, params)  # one-off allocations (lazy imports, caches) stay out of the count
+        tracemalloc.start()
+        try:
+            mean_field(unary, image, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _PEAK_BYTES[name], (name, peak)
 
 
 def _is_subnormal(q):

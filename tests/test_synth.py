@@ -112,10 +112,25 @@ class TestGuards:
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"num_classes": 0}, "num_classes must be >= 1, got 0"),
         ({"num_classes": 8}, "feature dim 8 must be >= num_classes \\+ 1"),
-    ], ids=["negative-seed", "no-classes", "more-classes-than-feature-dims"])
+        ({"num_images": 0}, "num_images must be >= 1, got 0"),
+        ({"feat_stride": 0}, "feat_stride must be >= 1, got 0"),
+        ({"feat_stride": -4}, "feat_stride must be >= 1, got -4"),
+    ], ids=["negative-seed", "no-classes", "more-classes-than-feature-dims", "no-images", "zero-stride",
+            "negative-stride"])
     def test_bad_setting_rejected_by_name_before_writing(self, tmp_path, setting, message):
         with pytest.raises(ValueError, match=f"^{message}"):
-            synth_corpus(tmp_path / "c", num_images=2, size=16, **setting)
+            synth_corpus(tmp_path / "c", **{"num_images": 2, "size": 16, **setting})
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"num_images": 2.5}, "num_images must be an int, got 2.5"),
+        ({"num_images": "2"}, "num_images must be an int, got '2'"),
+        ({"size": 32.0}, "size must be an int, got 32.0"),
+        ({"num_classes": True}, "num_classes must be an int, got True"),
+    ], ids=["float-count", "text-count", "float-size", "bool-classes"])
+    def test_setting_of_another_type_rejected_by_name_before_writing(self, tmp_path, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth_corpus(tmp_path / "c", **{"num_images": 2, "size": 16, **setting})
         assert not (tmp_path / "c").exists()
 
     def test_stride_must_divide_size(self, tmp_path):
