@@ -4,10 +4,21 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. The shared fixtures build a 50-image synthetic corpus (seed 0) and
 run the full pipeline twice with an identical config, so the end-to-end and
 determinism criteria share the heavy work.
+
+The SHA-256 of every file those runs write (and of one run at the paper's CRF
+setting) is pinned in ``golden/acceptance.json``, so a refactor that drifts
+one byte fails here. Regenerate that manifest with
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+and say in CHANGES.md which files changed and why.
 """
 
 import dataclasses
+import hashlib
 import itertools
+import json
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,26 +50,79 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "acceptance.json"
+# The runs the manifest pins: the config defaults and the paper's CRF setting,
+# each with the attention and confidence dumps on.
+GOLDEN_RUNS = {
+    "defaults": {},
+    "paper_crf": {"crf_theta_alpha": 49.0, "crf_theta_beta": 5.0, "crf_iterations": 10},
+}
+DUMPS = {"dump_attention": True, "dump_confidence_every": 7}
+
+
+def _golden_config(corpus_dir: Path, out: Path, run: str) -> PipelineConfig:
+    return PipelineConfig(corpus_dir=str(corpus_dir), out_dir=str(out), seed=0, **DUMPS, **GOLDEN_RUNS[run])
+
+
+def _snapshot(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _golden_run(cfg: PipelineConfig) -> dict[str, dict[str, str]]:
+    """Run the pipeline; returns the SHA-256 of every file it writes but
+    ``config.json`` (which holds the output path), and of each image's CRF
+    marginals. Only the CRF's argmax reaches a file, so a drift too small to
+    flip a label shows in the marginals alone."""
+    marginals = []
+
+    def keep(unary, image, params):
+        labels, q = mean_field(unary, image, params)
+        marginals.append(_sha256(q.tobytes()))
+        return labels, q
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "mean_field", keep)
+        run_pipeline(cfg)
+    ids = pipeline.stage_ids(Path(cfg.corpus_dir) / "features", ".btf", "labels")  # the order of a serial run
+    files = {name: _sha256(data) for name, data in _snapshot(Path(cfg.out_dir)).items() if name != "config.json"}
+    return {"files": files, "crf_marginals": dict(zip(ids, marginals, strict=True))}
+
+
+def golden_manifest(runs: dict[str, dict], noise: dict) -> dict:
+    """The golden runs' digests with the noise experiment's scores and the numpy version."""
+    return {"numpy": np.__version__, "runs": runs, "noise_robustness_experiment": json.loads(json.dumps(noise))}
+
+
+def _flat_digests(manifest: dict) -> dict[str, str]:
+    return {f"{run} {part} {name}": digest for run, parts in manifest["runs"].items()
+            for part, digests in parts.items() for name, digest in digests.items()}
+
+
 @pytest.fixture(scope="module")
 def pipeline_runs(tmp_path_factory, corpus_dir):
-    """Two runs of the identical config into the same directory."""
+    """Two runs of the identical config into the same directory; the first
+    is the manifest's defaults run."""
     out = tmp_path_factory.mktemp("acceptance_out") / "run"
-    cfg = PipelineConfig(corpus_dir=str(corpus_dir), out_dir=str(out), seed=0)
-
-    def snapshot():
-        return {
-            str(p.relative_to(out)): p.read_bytes()
-            for p in sorted(out.rglob("*"))
-            if p.is_file()
-        }
-
+    cfg = _golden_config(corpus_dir, out, "defaults")
     t0 = time.perf_counter()
-    run_pipeline(cfg)
+    digests = _golden_run(cfg)
     first_elapsed = time.perf_counter() - t0
-    first = snapshot()
+    first = _snapshot(out)
     run_pipeline(cfg)
-    second = snapshot()
-    return {"cfg": cfg, "out": out, "first": first, "second": second, "elapsed": first_elapsed}
+    second = _snapshot(out)
+    return {"cfg": cfg, "out": out, "first": first, "second": second, "elapsed": first_elapsed, "digests": digests}
+
+
+@pytest.fixture(scope="module")
+def noise_result(pipeline_runs):
+    """The noise-injection experiment on the defaults run, and its seconds."""
+    t0 = time.perf_counter()
+    result = noise_robustness_experiment(pipeline_runs["cfg"])
+    return result, time.perf_counter() - t0
 
 
 def test_criterion_1_gap_degeneration():
@@ -257,14 +321,11 @@ def test_criterion_6_retrieval_labels():
             f"oracle match {exact}, rescaling invariance {invariant}")
 
 
-def test_criterion_7_end_to_end_pipeline(pipeline_runs):
-    import json
-
-    t0 = time.perf_counter()
+def test_criterion_7_end_to_end_pipeline(pipeline_runs, noise_result):
     report = json.loads(pipeline_runs["first"]["metrics.json"].decode())
     fused_miou = report["pseudo_labels"]["fused_claimed"]["miou"]
-    result = noise_robustness_experiment(pipeline_runs["cfg"])
-    elapsed = pipeline_runs["elapsed"] + (time.perf_counter() - t0)
+    result, noise_s = noise_result
+    elapsed = pipeline_runs["elapsed"] + noise_s
     margin = result["nal"]["miou"] - result["ignore"]["miou"]
     ok = fused_miou >= 0.85 and margin > 0.0 and elapsed < 300.0
     _report(7, "end-to-end synthetic pipeline", ok,
@@ -317,3 +378,29 @@ def test_criterion_9_determinism(pipeline_runs):
     ok = same_names and not differing
     _report(9, "determinism", ok,
             f"{len(first)} files compared, differing: {differing[:3] if differing else 'none'}")
+
+
+def test_artifacts_match_the_golden_manifest(tmp_path, corpus_dir, pipeline_runs, noise_result):
+    golden = json.loads(GOLDEN.read_text())
+    assert golden["numpy"] == np.__version__, (
+        f"{GOLDEN.name} was made under numpy {golden['numpy']}, this is numpy {np.__version__}: "
+        "regenerate it under this version (see the module docstring)")
+    runs = {"defaults": pipeline_runs["digests"], "paper_crf": _golden_run(_golden_config(corpus_dir, tmp_path, "paper_crf"))}
+    got = golden_manifest(runs, noise_result[0])
+    want, have = _flat_digests(golden), _flat_digests(got)
+    differing = sorted(name for name in want.keys() | have.keys() if want.get(name) != have.get(name))
+    assert not differing, f"{len(differing)} digests differ from {GOLDEN.name}, first {differing[:5]}"
+    assert got["noise_robustness_experiment"] == golden["noise_robustness_experiment"]
+
+
+if __name__ == "__main__":
+    # Writes the golden manifest from this tree; see the module docstring.
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        synth_corpus(corpus, seed=0, num_images=50, size=64, num_classes=3)
+        configs = {run: _golden_config(corpus, Path(tmp) / run, run) for run in GOLDEN_RUNS}
+        runs = {run: _golden_run(cfg) for run, cfg in configs.items()}
+        noise = noise_robustness_experiment(configs["defaults"])
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(golden_manifest(runs, noise), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
