@@ -1,13 +1,16 @@
 """(L+1)-way softmax classifier head with hand-derived gradients.
 
 The head is a plain weight matrix, one row per class (row 0 = background),
-scored either by dot products or by scaled cosine similarity. Cross-entropy
-gradients are computed analytically -- including the normalization Jacobian
-in cosine mode -- and are checked against finite differences in the tests.
-
-The same type also holds the cosine segmentation head. The per-pixel class
-evidence maps of label generation (:func:`cam`) come from the classification
-head: ReLU(f(p) . w_c) over its raw (unnormalized) weights.
+of one of two kinds. A dot head scores by dot products: it is the
+classification head, trained by :func:`sgd_train` on background-aware-pooled
+box features, and its per-pixel class evidence maps (:func:`cam`,
+ReLU(f(p) . w_c) over the raw weights) feed the CRF unary. A cosine head
+scores by scaled cosine similarity: it is the segmentation head, trained and
+applied by :mod:`bana.nal`. Each function that trains or applies a head
+takes one kind and rejects the other. Cross-entropy gradients
+(:func:`ce_loss_and_grad`, for either kind) are computed analytically --
+including the normalization Jacobian for a cosine head -- and are checked
+against finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -66,21 +69,6 @@ def init_head(num_classes: int, dim: int, *, seed: int) -> ClassifierHead:
     """Gaussian init (zero mean, std 1e-2) of an (L+1, C) dot-product head."""
     rng = np.random.default_rng(seed)
     return ClassifierHead(weights=rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)))
-
-
-def logits(head: ClassifierHead, x: np.ndarray) -> np.ndarray:
-    """Class scores for one (C,) vector or a batch (n, C)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
-    if x.shape[1] != head.dim:
-        raise ValueError(f"feature dim {x.shape[1]} does not match head dim {head.dim}")
-    if head.mode == "dot":
-        z = x @ head.weights.T
-    else:
-        z = head.scale * (unit_norm(x, axis=1) @ unit_norm(head.weights, axis=1).T)
-    return z[0] if single else z
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -245,6 +233,8 @@ def cam(features: np.ndarray, head: ClassifierHead, class_id: int) -> np.ndarray
     the attention map instead, because a background evidence map would just
     highlight whatever occurs most often in training.
     """
+    if head.mode != "dot":
+        raise ValueError(f"class evidence maps need a dot head (the classification head), got a {head.mode!r} head")
     f = as_feature_map(features)
     if not (1 <= class_id <= head.num_classes):
         raise ValueError(f"class_id must be in [1, {head.num_classes}], got {class_id}")
@@ -282,7 +272,8 @@ def load_head(path: str | os.PathLike) -> ClassifierHead:
             f"(num_classes={meta['num_classes']}, dim={meta['dim']})"
         )
     try:
-        scale = float(meta["scale"])
+        return ClassifierHead(weights=w.astype(np.float64), mode=meta["mode"], scale=float(meta["scale"]))
     except OverflowError:  # a JSON int past float range
         raise fileio.FileFormatError(f"{sidecar}: scale {meta['scale']} is past float range") from None
-    return ClassifierHead(weights=w.astype(np.float64), mode=meta["mode"], scale=scale)
+    except ValueError as e:  # read_tensor passes only finite weights: the sidecar's L, mode or scale is bad
+        raise fileio.FileFormatError(f"{sidecar}: {e}") from None

@@ -28,7 +28,6 @@ from .clshead import (
     check_lr,
     cosine_weights,
     divergence_guard,
-    logits,
     sgd_step,
     softmax,
 )
@@ -99,6 +98,8 @@ def correlation_maps(features: np.ndarray | SegSample, head: ClassifierHead | Co
     brings its unit features, and the :class:`~bana.clshead.CosineWeights` of
     a training step bring the unit weight rows, so neither is normalized again.
     """
+    if isinstance(head, ClassifierHead) and head.mode != "cosine":
+        raise ValueError(f"correlations need a cosine head (the segmentation head), got a {head.mode!r} head")
     if isinstance(features, SegSample):
         unit_f = features.unit_features
     else:
@@ -245,10 +246,14 @@ def train_seg_head(
 
 
 def predict_probabilities(features: np.ndarray, head: ClassifierHead, out_h: int, out_w: int) -> np.ndarray:
-    """Per-pixel softmax maps, bilinearly upsampled to (out_h, out_w)."""
+    """Per-pixel softmax maps of a cosine head, bilinearly upsampled to (out_h, out_w)."""
+    if head.mode != "cosine":
+        raise ValueError(f"predictions need a cosine head (the segmentation head), got a {head.mode!r} head")
     f = as_feature_map(features)
     c, h, w = f.shape
-    z = logits(head, f.reshape(c, -1).T)
+    if c != head.dim:
+        raise ValueError(f"feature channels {c} do not match head dim {head.dim}")
+    z = head.scale * (unit_norm(f.reshape(c, -1).T, axis=1) @ unit_norm(head.weights, axis=1).T)
     probs = softmax(z, axis=1).T.reshape(-1, h, w)
     return bilinear_resize(probs, out_h, out_w)
 

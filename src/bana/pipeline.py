@@ -324,7 +324,9 @@ def _labels_worker(job: tuple) -> tuple[str, list[tuple[int, float]]]:
 def run_labels_stage(cfg: PipelineConfig) -> Path:
     corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
     ids = stage_ids(corpus / "features", ".btf", "labels")
-    _require(out / "head" / "classifier.btf", "labels", "classifier head (run train-head first)")
+    head_path = _require(out / "head" / "classifier.btf", "labels", "classifier head (run train-head first)")
+    if clshead.load_head(head_path).mode != "dot":  # checked here, before any write; each worker loads it again
+        raise PipelineError(f"stage 'labels': {head_path} is a cosine head, not the dot classification head")
     for image_id in ids:
         _require(corpus / "boxes" / f"{image_id}.json", "labels", "boxes file")
         _require(corpus / "images" / f"{image_id}.ppm", "labels", "image file")

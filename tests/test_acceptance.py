@@ -5,9 +5,10 @@ lines. The shared fixtures build a 50-image synthetic corpus (seed 0) and
 run the full pipeline twice with an identical config, so the end-to-end and
 determinism criteria share the heavy work.
 
-The SHA-256 of every file those runs write (and of one run at the paper's CRF
-setting) is pinned in ``golden/acceptance.json``, so a refactor that drifts
-one byte fails here. Regenerate that manifest with
+The SHA-256 of every file the first of those runs writes, and of one more
+run at the paper's CRF setting, is pinned in ``golden/acceptance.json`` with
+that of each image's CRF marginals, so a refactor that drifts one byte fails
+here. Regenerate that manifest with
 
     PYTHONPATH=src python tests/test_acceptance.py
 
@@ -92,7 +93,7 @@ def _golden_run(cfg: PipelineConfig) -> dict[str, dict[str, str]]:
     return {"files": files, "crf_marginals": dict(zip(ids, marginals, strict=True))}
 
 
-def golden_manifest(runs: dict[str, dict], noise: dict) -> dict:
+def _golden_manifest(runs: dict[str, dict], noise: dict) -> dict:
     """The golden runs' digests with the noise experiment's scores and the numpy version."""
     return {"numpy": np.__version__, "runs": runs, "noise_robustness_experiment": json.loads(json.dumps(noise))}
 
@@ -385,8 +386,8 @@ def test_artifacts_match_the_golden_manifest(tmp_path, corpus_dir, pipeline_runs
     assert golden["numpy"] == np.__version__, (
         f"{GOLDEN.name} was made under numpy {golden['numpy']}, this is numpy {np.__version__}: "
         "regenerate it under this version (see the module docstring)")
-    runs = {"defaults": pipeline_runs["digests"], "paper_crf": _golden_run(_golden_config(corpus_dir, tmp_path, "paper_crf"))}
-    got = golden_manifest(runs, noise_result[0])
+    paper_crf = _golden_run(_golden_config(corpus_dir, tmp_path, "paper_crf"))
+    got = _golden_manifest({"defaults": pipeline_runs["digests"], "paper_crf": paper_crf}, noise_result[0])
     want, have = _flat_digests(golden), _flat_digests(got)
     differing = sorted(name for name in want.keys() | have.keys() if want.get(name) != have.get(name))
     assert not differing, f"{len(differing)} digests differ from {GOLDEN.name}, first {differing[:5]}"
@@ -402,5 +403,5 @@ if __name__ == "__main__":
         runs = {run: _golden_run(cfg) for run, cfg in configs.items()}
         noise = noise_robustness_experiment(configs["defaults"])
         GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(json.dumps(golden_manifest(runs, noise), indent=1, sort_keys=True) + "\n")
+        GOLDEN.write_text(json.dumps(_golden_manifest(runs, noise), indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

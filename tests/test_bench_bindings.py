@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bana import crf, pipeline
+from bana import crf, fileio, pipeline
 from bana.crf import CrfParams
 from bana.synth import synth_corpus
 
@@ -95,3 +95,25 @@ def test_zero_iterations_still_build_the_lattice(monkeypatch):
     image = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
     crf.mean_field(unary, image, CrfParams(iterations=0))
     assert calls == {"lattice": 1, "term": 1}
+
+
+def test_crf_probe_sees_one_positional_call_per_labels_worker(monkeypatch, tmp_path):
+    # run.py's CRF probe wraps pipeline.mean_field as `keep(*args)`, runs one
+    # _labels_worker((cfg, image_id)) call, and takes that one call's three
+    # arguments as the image's CRF inputs and its labels as labels/crf/<id>.pgm.
+    corpus = tmp_path / "corpus"
+    synth_corpus(corpus, seed=0, num_images=2, size=32, num_classes=3)
+    cfg = pipeline.PipelineConfig(corpus_dir=str(corpus), out_dir=str(tmp_path / "out"), head_epochs=5,
+                                  stages=["train-head", "labels"])
+    pipeline.run_pipeline(cfg)
+    calls, original = [], pipeline.mean_field
+
+    def keep(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pipeline, "mean_field", keep)
+    pipeline._labels_worker((cfg, "0001"))
+    assert [len(args) for args, _ in calls] == [3]
+    written = fileio.read_label_map(tmp_path / "out" / "labels" / "crf" / "0001.pgm")
+    assert np.array_equal(calls[0][1][0], written)

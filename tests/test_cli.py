@@ -122,6 +122,55 @@ class TestLabels:
         assert rc == 1
 
 
+class TestMismatchedHead:
+    """Labels score with the dot classification head and predictions with the
+    cosine segmentation head; the other kind is an input error that writes nothing."""
+
+    @staticmethod
+    def _save(path, trained_head, **kind):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        clshead.save_head(path, dataclasses.replace(clshead.load_head(trained_head), **kind))
+        return path
+
+    def test_labels_command_rejects_a_cosine_head(self, corpus, trained_head, tmp_path, capsys):
+        head = self._save(tmp_path / "seg_head.btf", trained_head, mode="cosine")
+        outputs = {flag: tmp_path / name for flag, name in [
+            ("--out-crf", "crf.pgm"), ("--out-ret", "ret.pgm"), ("--out-fused", "fused.pgm"),
+            ("--out-attention", "attn.btf"), ("--filling-rate-csv", "rates.csv")]}
+        rc = main(["labels", "--features", str(corpus / "features" / "0000.btf"),
+                   "--boxes", str(corpus / "boxes" / "0000.json"), "--image", str(corpus / "images" / "0000.ppm"),
+                   "--head", str(head), *(arg for flag, path in outputs.items() for arg in (flag, str(path)))])
+        assert rc == 1
+        assert "need a dot head (the classification head), got a 'cosine' head" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs.values())
+
+    @pytest.mark.parametrize("kind, message", [
+        ({"mode": "cosine"}, "is a cosine head, not the dot classification head"),
+        ({"scale": -1.0}, "classifier.btf.json: scale must be positive, got -1.0"),
+    ], ids=["cosine", "bad-sidecar"])
+    def test_labels_stage_checks_its_head_before_any_directory(self, corpus, trained_head, tmp_path, capsys,
+                                                               kind, message):
+        out, cfg = tmp_path / "out", tmp_path / "cfg.json"
+        head = self._save(out / "head" / "classifier.btf", trained_head, mode=kind.get("mode", "dot"))
+        if "scale" in kind:  # a head object cannot hold a bad scale, so the sidecar is edited
+            meta = json.loads(head.with_suffix(".btf.json").read_text())
+            head.with_suffix(".btf.json").write_text(json.dumps({**meta, **kind}))
+        for stages, expected in [(["labels"], message), (["eval"], "nothing to evaluate")]:
+            cfg.write_text(PipelineConfig(corpus_dir=str(corpus), out_dir=str(out), stages=stages,
+                                          dump_attention=True).to_json())
+            assert main(["run", "--config", str(cfg)]) == 1
+            assert expected in capsys.readouterr().err
+            assert not (out / "labels").exists() and not (out / "attention").exists()
+
+    def test_eval_stage_rejects_a_dot_segmentation_head(self, corpus, trained_head, tmp_path, capsys):
+        out, cfg = tmp_path / "out", tmp_path / "cfg.json"
+        self._save(out / "seg" / "seg_head.btf", trained_head)
+        cfg.write_text(PipelineConfig(corpus_dir=str(corpus), out_dir=str(out), stages=["eval"]).to_json())
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "need a cosine head (the segmentation head), got a 'dot' head" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists() and not list(out.glob("preds/*"))
+
+
 class TestCrf:
     def test_runs_on_unary_stack(self, corpus, tmp_path):
         rng = np.random.default_rng(0)
@@ -1152,6 +1201,16 @@ class TestMalformedJsonInputs:
         sidecar = head.with_suffix(".btf.json")
         meta = json.loads(trained_head.with_suffix(".btf.json").read_text())
         sidecar.write_text(json.dumps({**meta, "scale": 10**400}))
+        self._input_error(capsys, self._labels(corpus, tmp_path, corpus / "boxes" / "0000.json", head), sidecar)
+        assert not (tmp_path / "crf.pgm").exists()
+
+    @pytest.mark.parametrize("field, value", [("mode", "bogus"), ("scale", -1.0), ("scale", 0)])
+    def test_bad_head_mode_or_scale_names_the_sidecar(self, corpus, trained_head, tmp_path, capsys, field, value):
+        head = tmp_path / "head.btf"
+        head.write_bytes(trained_head.read_bytes())
+        sidecar = head.with_suffix(".btf.json")
+        meta = json.loads(trained_head.with_suffix(".btf.json").read_text())
+        sidecar.write_text(json.dumps({**meta, field: value}))
         self._input_error(capsys, self._labels(corpus, tmp_path, corpus / "boxes" / "0000.json", head), sidecar)
         assert not (tmp_path / "crf.pgm").exists()
 

@@ -19,34 +19,45 @@ from bana.clshead import (
     ce_loss_and_grad,
     init_head,
     load_head,
-    logits,
     save_head,
     sgd_step,
     sgd_train,
     softmax,
 )
+from bana.nal import predict_probabilities
 
 
 class TestLogits:
+    """A head's class scores: a cosine head's as :func:`bana.nal.predict_probabilities`
+    computes them (a dot head's are :func:`cam`'s, see TestCam), and the
+    checks of the head that holds them."""
+
+    @staticmethod
+    def _probabilities(head, x):
+        return predict_probabilities(np.asarray(x, dtype=np.float64)[:, None, None], head, 1, 1)[:, 0, 0]
+
     def test_cosine_self_similarity_hits_scale(self):
+        # A feature equal to row c scores the scale on c and scale * cos on the other row.
         w = np.array([[1.0, 2.0], [3.0, -1.0]])
         head = ClassifierHead(weights=w, mode="cosine", scale=10.0)
-        assert logits(head, w[0])[0] == pytest.approx(10.0)
-        assert logits(head, w[1])[1] == pytest.approx(10.0)
-
-    def test_dot_orthogonal_is_zero(self):
-        head = ClassifierHead(weights=np.array([[1.0, 0.0], [0.0, 1.0]]), mode="dot")
-        assert logits(head, np.array([0.0, 2.0]))[0] == 0.0
+        cos = w[0] @ w[1] / (np.linalg.norm(w[0]) * np.linalg.norm(w[1]))
+        p0, p1 = self._probabilities(head, w[0]), self._probabilities(head, w[1])
+        assert np.log(p0[0] / p0[1]) == pytest.approx(10.0 - 10.0 * cos)
+        assert np.log(p1[1] / p1[0]) == pytest.approx(10.0 - 10.0 * cos)
 
     def test_two_class_toy_softmax(self):
-        head = ClassifierHead(weights=np.array([[1.0, 0.0], [0.0, 1.0]]), mode="dot")
-        p = softmax(logits(head, np.array([1.0, 0.0])))
-        np.testing.assert_allclose(p, [0.7311, 0.2689], atol=5e-5)
+        head = ClassifierHead(weights=np.array([[1.0, 0.0], [0.0, 1.0]]), mode="cosine", scale=1.0)
+        np.testing.assert_allclose(self._probabilities(head, [1.0, 0.0]), [0.7311, 0.2689], atol=5e-5)
 
     def test_dimension_mismatch(self):
-        head = ClassifierHead(weights=np.zeros((2, 3)))
+        head = ClassifierHead(weights=np.zeros((2, 3)), mode="cosine")
         with pytest.raises(ValueError, match="dim"):
-            logits(head, np.zeros(4))
+            self._probabilities(head, np.zeros(4))
+
+    def test_dot_head_rejected(self):
+        head = ClassifierHead(weights=np.eye(2))
+        with pytest.raises(ValueError, match="need a cosine head .* got a 'dot' head"):
+            self._probabilities(head, [1.0, 0.0])
 
     def test_more_than_254_classes_rejected(self):
         # Labels are uint8 and 255 is IGNORE: class 300 would be written as 44.
@@ -62,11 +73,11 @@ class TestLogits:
     def test_cosine_invariant_to_positive_rescaling(self):
         rng = np.random.default_rng(0)
         head = random_head(rng, 3, 5, "cosine")
-        x = rng.normal(size=5)
-        base = logits(head, x)
-        np.testing.assert_allclose(logits(head, 7.3 * x), base, atol=1e-12)
+        f = rng.normal(size=(5, 3, 4))
+        base = predict_probabilities(f, head, 3, 4)
+        np.testing.assert_allclose(predict_probabilities(7.3 * f, head, 3, 4), base, atol=1e-12)
         scaled = ClassifierHead(weights=head.weights * 4.2, mode="cosine", scale=head.scale)
-        np.testing.assert_allclose(logits(scaled, x), base, atol=1e-12)
+        np.testing.assert_allclose(predict_probabilities(f, scaled, 3, 4), base, atol=1e-12)
 
 
 class TestSoftmax:
@@ -133,7 +144,7 @@ class TestSgdTrain:
         head = init_head(2, 3, seed=0)
         trained, losses = sgd_train(head, x, y, epochs=40, lr=0.5, seed=0)
         assert losses[-1] < losses[0]
-        assert np.mean(logits(trained, x).argmax(axis=1) == y) >= 0.95
+        assert np.mean((x @ trained.weights.T).argmax(axis=1) == y) >= 0.95
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
@@ -230,6 +241,11 @@ class TestCam:
             cam(np.zeros((2, 2, 2)), head, 0)
         with pytest.raises(ValueError, match="class_id"):
             cam(np.zeros((2, 2, 2)), head, 2)
+
+    def test_cosine_head_rejected(self):
+        head = ClassifierHead(weights=np.eye(2), mode="cosine")
+        with pytest.raises(ValueError, match="need a dot head .* got a 'cosine' head"):
+            cam(np.ones((2, 1, 1)), head, 1)
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(6)

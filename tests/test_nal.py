@@ -51,6 +51,11 @@ class TestCorrelationMaps:
         d = correlation_maps(f, head)
         np.testing.assert_allclose(d[:, 0, 0], [2.0, 1.0])
 
+    def test_dot_head_rejected(self):
+        head = ClassifierHead(weights=np.eye(2))
+        with pytest.raises(ValueError, match="need a cosine head .* got a 'dot' head"):
+            correlation_maps(np.ones((2, 1, 1)), head)
+
     def test_range_and_zero_norm_guard(self):
         rng = np.random.default_rng(0)
         head = random_head(rng, 3, 4, "cosine")
