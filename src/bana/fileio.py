@@ -9,7 +9,10 @@
   sidecars, corpus manifests) is parsed by :func:`read_json`.
 
 Writers emit canonical bytes so that write -> read -> write round-trips are
-byte-identical; readers report malformed input with the file offset.
+byte-identical; readers report malformed input with the file offset. Every
+writer checks its value first and then makes the file's missing parent
+directories, so a directory exists only once a file has been written into
+it, and a rejected value makes none.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ def _atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     # Write-then-rename keeps partially written files out of the pipeline.
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)

@@ -256,9 +256,7 @@ def run_train_head_stage(cfg: PipelineConfig) -> Path:
         corpus / "features", corpus / "boxes", ids, _corpus_num_classes(cfg, corpus, ids),
         grid_size=cfg.grid_size_train, epochs=cfg.head_epochs, lr=cfg.head_lr, seed=cfg.seed,
     )
-    head_dir = out / "head"
-    head_dir.mkdir(parents=True, exist_ok=True)
-    path = head_dir / "classifier.btf"
+    path = out / "head" / "classifier.btf"
     clshead.save_head(path, head)
     return path
 
@@ -281,13 +279,15 @@ def generate_labels_for_image(
     """Full label generation for one image.
 
     Returns the fused label bundle, the attention map (feature resolution),
-    and the per-box filling rates of the fused labels. A boxes frame other
-    than the image's size, or a box class past the head's, is rejected
-    before any map is built.
+    and the per-box filling rates of the fused labels. A head that is not a
+    dot head, a boxes frame other than the image's size, or a box class past
+    the head's, is rejected before any map is built.
     """
     if image.shape[:2] != (boxes.image_height, boxes.image_width):
         raise ValueError(f"boxes frame {boxes.image_width}x{boxes.image_height} does not match the "
                          f"{image.shape[1]}x{image.shape[0]} image (width x height)")
+    if head.mode != "dot":  # cam checks it too, but only for an image with boxes
+        raise ValueError(f"class evidence maps need a dot head (the classification head), got a {head.mode!r} head")
     class_ids = boxes.class_ids()
     if class_ids and class_ids[-1] > head.num_classes:
         raise ValueError(f"box class {class_ids[-1]} is past the head's {head.num_classes} classes")
@@ -324,16 +324,10 @@ def _labels_worker(job: tuple) -> tuple[str, list[tuple[int, float]]]:
 def run_labels_stage(cfg: PipelineConfig) -> Path:
     corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
     ids = stage_ids(corpus / "features", ".btf", "labels")
-    head_path = _require(out / "head" / "classifier.btf", "labels", "classifier head (run train-head first)")
-    if clshead.load_head(head_path).mode != "dot":  # checked here, before any write; each worker loads it again
-        raise PipelineError(f"stage 'labels': {head_path} is a cosine head, not the dot classification head")
-    for image_id in ids:
+    _require(out / "head" / "classifier.btf", "labels", "classifier head (run train-head first)")
+    for image_id in ids:  # all found before the first label is written, so none is left half done
         _require(corpus / "boxes" / f"{image_id}.json", "labels", "boxes file")
         _require(corpus / "images" / f"{image_id}.ppm", "labels", "image file")
-    for sub in ("crf", "ret", "fused"):
-        (out / "labels" / sub).mkdir(parents=True, exist_ok=True)
-    if cfg.dump_attention:
-        (out / "attention").mkdir(parents=True, exist_ok=True)
 
     jobs = [(cfg, image_id) for image_id in ids]
     if cfg.jobs > 1:
@@ -392,17 +386,17 @@ def nal_train(features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], 
     noise-aware loss; returns the head and per-epoch losses. ``settings`` holds
     the keyword arguments of :func:`~bana.nal.train_seg_head`. Each image's
     confidence map goes to ``confidence_dir`` at epochs 0, N, 2N, ... for
-    ``confidence_every`` N >= 1; N = 0 writes none. A run that fails removes them."""
+    ``confidence_every`` N >= 1; N = 0 writes none. A run that fails removes them
+    and the directories they made."""
     if confidence_every < 0:
         raise ValueError(f"confidence_every must be >= 0, got {confidence_every}")
     samples = _load_seg_samples(features_dir, crf_dir, ret_dir, ids, num_classes)
     hook, written = None, []
-    made_dir = confidence_dir is not None and not confidence_dir.exists()
+    # Deepest first; the first dump makes them, so settings that train_seg_head rejects make none.
+    missing = [d for d in (confidence_dir, *confidence_dir.parents) if not d.exists()] if confidence_dir else []
     if confidence_dir is not None and confidence_every > 0:
-        # Made at the first dump, so settings that train_seg_head rejects leave no directory behind.
         def hook(epoch, index, sigma):
             if epoch % confidence_every == 0:
-                confidence_dir.mkdir(parents=True, exist_ok=True)
                 written.append(confidence_dir / f"{ids[index]}_epoch{epoch:03d}.btf")
                 fileio.write_tensor(written[-1], sigma)
 
@@ -411,8 +405,9 @@ def nal_train(features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], 
     except (ValueError, OSError):  # a failed run leaves no dumps, and no directory that it made
         for path in written:
             path.unlink(missing_ok=True)
-        if made_dir and confidence_dir.exists():
-            confidence_dir.rmdir()
+        for d in missing:
+            if d.exists():
+                d.rmdir()
         raise
 
 
@@ -434,7 +429,6 @@ def run_nal_train_stage(cfg: PipelineConfig) -> Path:
         confidence_every=cfg.dump_confidence_every, **_seg_settings(cfg),
     )
     seg_dir = out / "seg"
-    seg_dir.mkdir(parents=True, exist_ok=True)
     path = seg_dir / "seg_head.btf"
     clshead.save_head(path, head)
     write_loss_csv(seg_dir / "nal_loss.csv", losses)
@@ -497,7 +491,6 @@ def run_eval_stage(cfg: PipelineConfig) -> Path:
         }
     if have_seg:
         seg_head = clshead.load_head(seg_head_path)
-        (out / "preds").mkdir(parents=True, exist_ok=True)
         for image_id in ids:
             f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
             h, w = fileio.read_label_map(gt_dir / f"{image_id}.pgm").shape
@@ -510,9 +503,7 @@ def run_eval_stage(cfg: PipelineConfig) -> Path:
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run the configured stages in order; returns artifact paths."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    fileio.write_text(out / "config.json", cfg.to_json())
+    fileio.write_text(Path(cfg.out_dir) / "config.json", cfg.to_json())
     artifacts: dict = {}
     runners = {
         "train-head": run_train_head_stage,

@@ -136,9 +136,6 @@ def synth_corpus(
     directions = _class_directions(num_classes, feat_dim, master)
 
     out = Path(out_dir)
-    for sub in ("images", "boxes", "gt", "features"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
-
     ids = []
     half = size // 2
     slots = [(0, 0, half, half), (0, half, half, size), (half, 0, size, half), (half, half, size, size)]

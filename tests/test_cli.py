@@ -144,8 +144,21 @@ class TestMismatchedHead:
         assert "need a dot head (the classification head), got a 'cosine' head" in capsys.readouterr().err
         assert not any(path.exists() for path in outputs.values())
 
+    def test_labels_command_rejects_a_cosine_head_for_an_image_without_boxes(self, corpus, trained_head, tmp_path,
+                                                                               capsys):
+        head = self._save(tmp_path / "seg_head.btf", trained_head, mode="cosine")
+        boxes = tmp_path / "empty.json"
+        boxes.write_text(json.dumps({"width": 48, "height": 48, "boxes": []}))
+        outputs = [tmp_path / name for name in ("crf.pgm", "ret.pgm", "fused.pgm")]
+        rc = main(["labels", "--features", str(corpus / "features" / "0000.btf"), "--boxes", str(boxes),
+                   "--image", str(corpus / "images" / "0000.ppm"), "--head", str(head),
+                   "--out-crf", str(outputs[0]), "--out-ret", str(outputs[1]), "--out-fused", str(outputs[2])])
+        assert rc == 1
+        assert "need a dot head (the classification head), got a 'cosine' head" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
     @pytest.mark.parametrize("kind, message", [
-        ({"mode": "cosine"}, "is a cosine head, not the dot classification head"),
+        ({"mode": "cosine"}, "need a dot head (the classification head), got a 'cosine' head"),
         ({"scale": -1.0}, "classifier.btf.json: scale must be positive, got -1.0"),
     ], ids=["cosine", "bad-sidecar"])
     def test_labels_stage_checks_its_head_before_any_directory(self, corpus, trained_head, tmp_path, capsys,
@@ -162,13 +175,21 @@ class TestMismatchedHead:
             assert expected in capsys.readouterr().err
             assert not (out / "labels").exists() and not (out / "attention").exists()
 
+    def test_labels_stage_pool_rejects_a_cosine_head(self, corpus, trained_head, tmp_path, capsys):
+        out, cfg = tmp_path / "out", tmp_path / "cfg.json"
+        self._save(out / "head" / "classifier.btf", trained_head, mode="cosine")
+        cfg.write_text(PipelineConfig(corpus_dir=str(corpus), out_dir=str(out), stages=["labels"], jobs=2).to_json())
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "need a dot head (the classification head), got a 'cosine' head" in capsys.readouterr().err
+        assert not (out / "labels").exists()
+
     def test_eval_stage_rejects_a_dot_segmentation_head(self, corpus, trained_head, tmp_path, capsys):
         out, cfg = tmp_path / "out", tmp_path / "cfg.json"
         self._save(out / "seg" / "seg_head.btf", trained_head)
         cfg.write_text(PipelineConfig(corpus_dir=str(corpus), out_dir=str(out), stages=["eval"]).to_json())
         assert main(["run", "--config", str(cfg)]) == 1
         assert "need a cosine head (the segmentation head), got a 'dot' head" in capsys.readouterr().err
-        assert not (out / "metrics.json").exists() and not list(out.glob("preds/*"))
+        assert not (out / "metrics.json").exists() and not (out / "preds").exists()
 
 
 class TestCrf:
@@ -1155,6 +1176,12 @@ class TestOutputsInAMissingDirectory:
         argv, paths = self._argv("nal-train", tmp_path, corpus, trained_head, None, "--epochs", "2", "--lr", "1e300")
         assert main(argv) == 1 and "input error: training diverged" in capsys.readouterr().err
         assert not any(path.exists() for path in paths.values())
+
+    def test_diverged_training_removes_every_directory_its_dumps_made(self, corpus, trained_head, tmp_path, capsys):
+        argv, _ = self._argv("nal-train", tmp_path, corpus, trained_head, None, "--epochs", "2", "--lr", "1e300")
+        argv[argv.index("--dump-confidence-dir") + 1] = str(tmp_path / "new" / "a" / "conf")
+        assert main(argv) == 1 and "input error: training diverged" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
 
 class TestMalformedJsonInputs:

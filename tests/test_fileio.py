@@ -1,12 +1,15 @@
 """File formats: round trips are byte-exact, malformed input names the offset."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bana
 from bana.core import BBox, BoxSet
 from bana.fileio import (
     FileFormatError,
@@ -19,6 +22,7 @@ from bana.fileio import (
     write_image,
     write_label_map,
     write_tensor,
+    write_text,
 )
 
 
@@ -122,6 +126,32 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(OSError):
         write_label_map(target, np.zeros((2, 2), dtype=np.uint8))
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestDirectories:
+    """A directory exists only once a file has been written into it."""
+
+    def test_write_makes_the_missing_directories(self, tmp_path):
+        write_label_map(tmp_path / "a" / "b" / "y.pgm", np.zeros((2, 2), dtype=np.uint8))
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["a", "a/b", "a/b/y.pgm"]
+
+    @pytest.mark.parametrize("write, value", [
+        (write_tensor, np.array([1.0, np.inf])),
+        (write_label_map, np.full((2, 2), 300)),
+        (write_text, "caf\u00e9"),
+    ], ids=["non-finite-tensor", "label-300", "non-ascii-text"])
+    def test_rejected_value_makes_no_directory(self, tmp_path, write, value):
+        with pytest.raises(ValueError):
+            write(tmp_path / "a" / "b" / "out", value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_fileio_makes_directories(self):
+        src = Path(bana.__file__).parent
+        calls = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py")) if path.name != "fileio.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None))
+                 in ("mkdir", "makedirs")]
+        assert calls == []
 
 
 class TestImage:
