@@ -17,7 +17,9 @@ Each stage has one implementation (``train_head``, ``generate_labels_for_image``
 functions feed it from a config and the ``bana`` subcommands from their flags.
 Every stage is deterministic under a fixed config: rerunning produces
 byte-identical artifacts. Per-image work is independent, so the labels
-stage can fan out over a worker pool without changing any output.
+stage can fan out over a worker pool without changing any output. A stage
+writes only once all of its work has succeeded, so one that fails writes
+nothing; ``run_pipeline`` first writes ``config.json``, the run's record.
 """
 
 from __future__ import annotations
@@ -303,32 +305,23 @@ def generate_labels_for_image(
     return fused, attn, rates
 
 
-def _labels_worker(job: tuple) -> tuple[str, list[tuple[int, float]]]:
+def _labels_worker(job: tuple) -> tuple[str, FusedLabels, np.ndarray, list[tuple[int, float]]]:
     cfg, image_id = job
-    corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
+    corpus = Path(cfg.corpus_dir)
     f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
-    boxes = fileio.read_boxes(corpus / "boxes" / f"{image_id}.json")
-    image = fileio.read_image(corpus / "images" / f"{image_id}.ppm")
-    head = clshead.load_head(out / "head" / "classifier.btf")
+    boxes = fileio.read_boxes(_require(corpus / "boxes" / f"{image_id}.json", "labels", "boxes file"))
+    image = fileio.read_image(_require(corpus / "images" / f"{image_id}.ppm", "labels", "image file"))
+    head = clshead.load_head(Path(cfg.out_dir) / "head" / "classifier.btf")
     fused, attn, rates = generate_labels_for_image(
         f, boxes, image, head, grid_size=cfg.grid_size_label, tau=cfg.attn_threshold, crf_params=cfg.crf_params()
     )
-    fileio.write_label_map(out / "labels" / "crf" / f"{image_id}.pgm", fused.y_crf)
-    fileio.write_label_map(out / "labels" / "ret" / f"{image_id}.pgm", fused.y_ret)
-    fileio.write_label_map(out / "labels" / "fused" / f"{image_id}.pgm", fused.fused)
-    if cfg.dump_attention:
-        fileio.write_tensor(out / "attention" / f"{image_id}.btf", attn)
-    return image_id, [(b.class_id, r) for b, r in zip(boxes.boxes, rates)]
+    return image_id, fused, attn, [(b.class_id, r) for b, r in zip(boxes.boxes, rates)]
 
 
 def run_labels_stage(cfg: PipelineConfig) -> Path:
     corpus, out = Path(cfg.corpus_dir), Path(cfg.out_dir)
     ids = stage_ids(corpus / "features", ".btf", "labels")
     _require(out / "head" / "classifier.btf", "labels", "classifier head (run train-head first)")
-    for image_id in ids:  # all found before the first label is written, so none is left half done
-        _require(corpus / "boxes" / f"{image_id}.json", "labels", "boxes file")
-        _require(corpus / "images" / f"{image_id}.ppm", "labels", "image file")
-
     jobs = [(cfg, image_id) for image_id in ids]
     if cfg.jobs > 1:
         # Imported here: it costs more to import than this whole module.
@@ -344,9 +337,12 @@ def run_labels_stage(cfg: PipelineConfig) -> Path:
         results = [_labels_worker(j) for j in jobs]
 
     lines = ["image,box_index,class,filling_rate"]
-    for image_id, rates in sorted(results):
-        for box_index, (class_id, rate) in enumerate(rates):
-            lines.append(f"{image_id},{box_index},{class_id},{rate:.6f}")
+    for image_id, fused, attn, rates in results:  # in ids order, as pool.map returns them
+        for kind, y in (("crf", fused.y_crf), ("ret", fused.y_ret), ("fused", fused.fused)):
+            fileio.write_label_map(out / "labels" / kind / f"{image_id}.pgm", y)
+        if cfg.dump_attention:
+            fileio.write_tensor(out / "attention" / f"{image_id}.btf", attn)
+        lines += [f"{image_id},{i},{class_id},{rate:.6f}" for i, (class_id, rate) in enumerate(rates)]
     csv_path = out / "filling_rate.csv"
     fileio.write_text(csv_path, "\n".join(lines) + "\n")
     return csv_path
@@ -386,29 +382,20 @@ def nal_train(features_dir: Path, crf_dir: Path, ret_dir: Path, ids: list[str], 
     noise-aware loss; returns the head and per-epoch losses. ``settings`` holds
     the keyword arguments of :func:`~bana.nal.train_seg_head`. Each image's
     confidence map goes to ``confidence_dir`` at epochs 0, N, 2N, ... for
-    ``confidence_every`` N >= 1; N = 0 writes none. A run that fails removes them
-    and the directories they made."""
+    ``confidence_every`` N >= 1, once training has succeeded; N = 0 writes none."""
     if confidence_every < 0:
         raise ValueError(f"confidence_every must be >= 0, got {confidence_every}")
     samples = _load_seg_samples(features_dir, crf_dir, ret_dir, ids, num_classes)
-    hook, written = None, []
-    # Deepest first; the first dump makes them, so settings that train_seg_head rejects make none.
-    missing = [d for d in (confidence_dir, *confidence_dir.parents) if not d.exists()] if confidence_dir else []
+    hook, dumps = None, []
     if confidence_dir is not None and confidence_every > 0:
         def hook(epoch, index, sigma):
             if epoch % confidence_every == 0:
-                written.append(confidence_dir / f"{ids[index]}_epoch{epoch:03d}.btf")
-                fileio.write_tensor(written[-1], sigma)
+                dumps.append((confidence_dir / f"{ids[index]}_epoch{epoch:03d}.btf", sigma))
 
-    try:
-        return nal.train_seg_head(samples, num_classes, confidence_hook=hook, **settings)
-    except (ValueError, OSError):  # a failed run leaves no dumps, and no directory that it made
-        for path in written:
-            path.unlink(missing_ok=True)
-        for d in missing:
-            if d.exists():
-                d.rmdir()
-        raise
+    trained = nal.train_seg_head(samples, num_classes, confidence_hook=hook, **settings)
+    for path, sigma in dumps:
+        fileio.write_tensor(path, sigma)
+    return trained
 
 
 def _seg_settings(cfg: PipelineConfig) -> dict:
@@ -491,10 +478,13 @@ def run_eval_stage(cfg: PipelineConfig) -> Path:
         }
     if have_seg:
         seg_head = clshead.load_head(seg_head_path)
-        for image_id in ids:
+        preds = []
+        for image_id in ids:  # each map's classes checked here, so scoring cannot fail once preds/ is written
             f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
-            h, w = fileio.read_label_map(gt_dir / f"{image_id}.pgm").shape
-            fileio.write_label_map(out / "preds" / f"{image_id}.pgm", nal.predict_labels(f, seg_head, h, w))
+            h, w = fileio.read_label_map(gt_dir / f"{image_id}.pgm", num_classes).shape
+            preds.append(nal.predict_labels(f, seg_head, h, w))
+        for image_id, pred in zip(ids, preds):
+            fileio.write_label_map(out / "preds" / f"{image_id}.pgm", pred)
         report["segmentation"] = metrics.score(label_confusion(out / "preds", gt_dir, ids, num_classes))
     path = out / "metrics.json"
     fileio.write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")

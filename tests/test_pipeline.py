@@ -1,7 +1,9 @@
 """Pipeline config round trips, stage wiring, determinism, noise experiment."""
 
+import ast
 import concurrent.futures
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bana import clshead, fileio, metrics
+from bana import clshead, fileio, metrics, pipeline
 from bana.core import IGNORE
 from bana.pipeline import (
     PipelineConfig,
@@ -235,6 +237,41 @@ class TestStages:
             image_id, box_index, class_id, rate = line.split(",")
             assert 0.0 <= float(rate) <= 1.0
             assert int(class_id) >= 1
+
+
+class TestFailedStageWritesNothing:
+    """A stage writes only once all of its work has succeeded."""
+
+    @pytest.mark.parametrize("stage, settings, cut, message", [
+        ("labels", dict(jobs=1, dump_attention=True), "corpus/features/0002.btf", "payload bytes"),
+        ("labels", dict(jobs=2, dump_attention=True), "corpus/features/0002.btf", "payload bytes"),
+        ("eval", {}, "corpus/features/0002.btf", "payload bytes"),
+        ("nal-train", {}, "out/labels/crf/0002.pgm", "pixel bytes"),
+        ("nal-train", dict(seg_lr=1e300, dump_confidence_every=1), None, "training diverged"),
+    ])
+    def test_failed_stage_leaves_out_as_it_was(self, tmp_path, stage, settings, cut, message):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        synth_corpus(corpus, seed=3, num_images=3, size=32, num_classes=3)  # every image has disputed pixels
+        earlier = list(pipeline.STAGES[:pipeline.STAGES.index(stage)])
+        run_pipeline(_cfg(corpus, out, stages=earlier, head_epochs=5, seg_epochs=2))
+        if cut:
+            (tmp_path / cut).write_bytes((tmp_path / cut).read_bytes()[:-4])
+
+        def snapshot():  # every path under out/, with the bytes of each file
+            return {p.relative_to(out): p.is_file() and p.read_bytes() for p in out.rglob("*")
+                    if p.name != "config.json"}
+
+        before = snapshot()
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(_cfg(corpus, out, stages=[stage], head_epochs=5, seg_epochs=2, **settings))
+        assert snapshot() == before
+
+    def test_labels_worker_writes_nothing(self):
+        # The pool's task returns its results; only run_labels_stage writes them.
+        tree = ast.parse(inspect.getsource(pipeline._labels_worker))
+        called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert "fileio.read_tensor" in called
+        assert not [name for name in called if name.startswith("fileio.write_")]
 
 
 class TestDeterminism:
