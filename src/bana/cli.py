@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (OSError, fileio.FileFormatError, pipeline.PipelineError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # anything else is a bug, not a user mistake

@@ -157,12 +157,17 @@ def unit_norm(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def validate_label_map(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
-    """Check a (H, W) label map; values must be in {0..L} or IGNORE."""
+    """Check a (H, W) integer or bool label map with values in [0, 255], and in
+    {0..L} or IGNORE given ``num_classes=L``; return it as uint8 (uint8 as is)."""
     y = np.asarray(labels)
     if y.ndim != 2:
         raise ValueError(f"label map must have shape (H, W), got {y.shape}")
-    if np.issubdtype(y.dtype, np.floating):
-        raise ValueError("label map must be integer-typed")
+    if y.dtype != np.uint8:
+        if y.dtype.kind not in "biu":
+            raise ValueError("label map must be integer-typed")
+        if y.size and (y.min() < 0 or y.max() > IGNORE):
+            raise ValueError(f"label values must lie in [0, {IGNORE}]")
+        y = y.astype(np.uint8)
     if num_classes is not None:
         bad = (y > num_classes) & (y != IGNORE)
         if np.any(bad):

@@ -9,10 +9,11 @@
   sidecars, corpus manifests) is parsed by :func:`read_json`.
 
 Writers emit canonical bytes so that write -> read -> write round-trips are
-byte-identical; readers report malformed input with the file offset. Every
-writer checks its value first and then makes the file's missing parent
-directories, so a directory exists only once a file has been written into
-it, and a rejected value makes none.
+byte-identical; readers report malformed input with the file offset, and a
+label past the class range by its row and column. Every writer checks its
+value first and then makes the file's missing parent directories, so a
+directory exists only once a file has been written into it, and a rejected
+value makes none.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IGNORE, BBox, BoxSet, validate_label_map
+from .core import BBox, BoxSet, validate_label_map
 
 _BTF_MAGIC = b"BTF1"
 _MAX_RANK = 8
 
 
 class FileFormatError(ValueError):
-    """Raised when a data file is malformed; the message carries the offset."""
+    """Raised when a data file is malformed; the message says where."""
 
 
 def _atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
@@ -142,21 +143,16 @@ def _parse_pnm_header(data: bytes, path, magic: bytes) -> tuple[int, int, int]:
 
 def write_label_map(path: str | os.PathLike, labels: np.ndarray) -> None:
     """Write an (H, W) uint8 label map as binary PGM."""
-    y = np.asarray(labels)
-    validate_label_map(y)
-    if y.dtype != np.uint8:
-        if y.min() < 0 or y.max() > 255:
-            raise ValueError("label values must fit in a byte")
-        y = y.astype(np.uint8)
+    y = validate_label_map(labels)
     h, w = y.shape
     _atomic_write_bytes(path, b"P5\n%d %d\n255\n" % (w, h) + y.tobytes())
 
 
 def read_label_map(path: str | os.PathLike, num_classes: int | None = None) -> np.ndarray:
-    """Read a binary PGM label map; optionally validate the value range.
+    """Read a binary PGM label map, checked by ``core.validate_label_map``.
 
-    With ``num_classes=L``, any value in (L, 255) is rejected: labels are
-    class indices 0..L or the IGNORE marker 255.
+    With ``num_classes=L``, a value in (L, 255) is reported by its row and
+    column: labels are class indices 0..L or the IGNORE marker 255.
     """
     data = Path(path).read_bytes()
     w, h, pix = _parse_pnm_header(data, path, b"P5")
@@ -165,15 +161,10 @@ def read_label_map(path: str | os.PathLike, num_classes: int | None = None) -> n
     if actual != expected:
         raise FileFormatError(f"{path}: expected {expected} pixel bytes at offset {pix}, found {actual}")
     y = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pix).reshape(h, w)
-    if num_classes is not None:
-        bad = (y > num_classes) & (y != IGNORE)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad.ravel())[0])
-            raise FileFormatError(
-                f"{path}: label out of range: value {int(y.ravel()[i])} at offset {pix + i} "
-                f"(num_classes={num_classes}, ignore={IGNORE})"
-            )
-    return y.copy()
+    try:
+        return validate_label_map(y, num_classes).copy()
+    except ValueError as e:
+        raise FileFormatError(f"{path}: {e}") from e
 
 
 def write_image(path: str | os.PathLike, rgb: np.ndarray) -> None:

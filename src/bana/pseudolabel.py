@@ -87,10 +87,7 @@ def fuse_labels(y_crf: np.ndarray, y_ret: np.ndarray) -> FusedLabels:
     b = validate_label_map(y_ret)
     if a.shape != b.shape:
         raise ValueError(f"label maps differ in shape: {a.shape} vs {b.shape}")
-    fused = FusedLabels(y_crf=a.astype(np.uint8), y_ret=b.astype(np.uint8))
-    if not (np.array_equal(fused.y_crf, a) and np.array_equal(fused.y_ret, b)):
-        raise ValueError(f"label values must lie in [0, {IGNORE}]")
-    return fused
+    return FusedLabels(y_crf=a, y_ret=b)
 
 
 def filling_rate(labels: np.ndarray, boxes: BoxSet) -> list[float]:

@@ -976,6 +976,15 @@ class TestExitCodes:
         pred_path, ref_path = tmp_path / "pred" / "0000.pgm", tmp_path / "ref" / "0000.pgm"
         assert f"input error: {pred_path} against {ref_path}: {message}" in capsys.readouterr().err
 
+    def test_eval_class_past_classes_names_its_file_row_and_col(self, tmp_path, capsys):
+        for name, data in [("pred", _pgm(2, 2, [0, 1, 1, 3])), ("ref", _pgm(2, 2, [0, 1, 1, 1]))]:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "0000.pgm").write_bytes(data)
+        assert main(["eval", "--pred-dir", str(tmp_path / "pred"), "--ref-dir", str(tmp_path / "ref"),
+                     "--classes", "2"]) == 1
+        assert capsys.readouterr().err == (f"input error: {tmp_path / 'pred' / '0000.pgm'}: label out of range: "
+                                           "value 3 at (row=1, col=1) with num_classes=2\n")
+
     def test_nal_train_label_maps_of_different_shapes_named(self, tmp_path, capsys):
         crf, ret = np.zeros((64, 64), np.uint8), np.zeros((32, 32), np.uint8)
         crf[16:48, 16:48] = ret[8:24, 8:24] = 1

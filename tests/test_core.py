@@ -1,10 +1,12 @@
-"""Geometry: box validation, resizing, background masks, map resizing."""
+"""Geometry and label maps: box validation, resizing, background masks, map
+resizing, and the one rule for a label map's values."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bana import fileio, metrics, nal, pseudolabel
 from bana.core import (
     BBox,
     BoxSet,
@@ -12,6 +14,7 @@ from bana.core import (
     build_background_mask,
     nearest_resize,
     resize_boxes,
+    validate_label_map,
 )
 
 
@@ -148,6 +151,43 @@ class TestResizeMaps:
         out = nearest_resize(y, 2, 2)
         # 2x blocks, center convention picks the lower-right of each 2x2 block
         assert out.tolist() == [[5, 7], [13, 15]]
+
+
+_PAST_A_BYTE = {"minus-1-int64": np.array([[-1, 1], [0, 1]], np.int64),
+                "256-int16": np.array([[256, 1], [0, 1]], np.int16)}
+_OK = np.array([[0, 1], [0, 1]], np.uint8)
+# Every function that takes a label map, each given one map past a byte.
+_CONSUMERS = {
+    "confusion-pred": lambda y, tmp: metrics.confusion(y, _OK, 2),
+    "confusion-ref": lambda y, tmp: metrics.confusion(_OK, y, 2),
+    "confidence_map": lambda y, tmp: nal.confidence_map(np.ones((3, 2, 2)), y, 1.0),
+    "extract_prototypes": lambda y, tmp: pseudolabel.extract_prototypes(np.ones((4, 2, 2)), y),
+    "filling_rate": lambda y, tmp: pseudolabel.filling_rate(y, BoxSet(2, 2, [BBox(1, 0, 0, 2, 2)])),
+    "fuse_labels": lambda y, tmp: pseudolabel.fuse_labels(y, _OK),
+    "write_label_map": lambda y, tmp: fileio.write_label_map(tmp / "a" / "y.pgm", y),
+}
+
+
+class TestLabelMapRule:
+    @pytest.mark.parametrize("labels", _PAST_A_BYTE.values(), ids=_PAST_A_BYTE)
+    @pytest.mark.parametrize("consume", _CONSUMERS.values(), ids=_CONSUMERS)
+    def test_every_consumer_rejects_a_value_past_a_byte(self, tmp_path, consume, labels):
+        with pytest.raises(ValueError, match=r"label values must lie in \[0, 255\]"):
+            consume(labels, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_uint8_map_is_returned_as_is(self):
+        y = np.array([[0, 2], [255, 1]], np.uint8)
+        assert validate_label_map(y) is y and validate_label_map(y, 2) is y
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint16])
+    def test_an_integer_or_bool_map_is_returned_as_uint8(self, dtype):
+        out = validate_label_map(np.array([[0, 1], [1, 0]], dtype))
+        assert out.dtype == np.uint8 and out.tolist() == [[0, 1], [1, 0]]
+
+    def test_a_float_map_is_rejected(self):
+        with pytest.raises(ValueError, match="label map must be integer-typed"):
+            validate_label_map(np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
