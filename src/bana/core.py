@@ -179,6 +179,11 @@ def validate_label_map(labels: np.ndarray, num_classes: int | None = None) -> np
     return y
 
 
+def label_classes(y: np.ndarray) -> list[int]:
+    """The distinct values of a uint8 label map other than IGNORE, ascending."""
+    return np.flatnonzero(np.bincount(y.ravel())[:IGNORE]).tolist()
+
+
 def bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of an (H, W) or (C, H, W) array to (out_h, out_w).
 

@@ -316,14 +316,20 @@ def _lattice_term(features: np.ndarray) -> tuple[_Lattice, float]:
     lattice = _Lattice(features)
     n = features.shape[0]
     count = min(_CALIBRATION_PIXELS, n)
-    sample = np.unique((np.arange(count) * ((math.sqrt(5.0) - 1.0) / 2.0) * n).astype(np.int64) % n)
+    sample = _distinct((np.arange(count) * ((math.sqrt(5.0) - 1.0) / 2.0) * n).astype(np.int64) % n)[0]
     approx = lattice.blur(np.ones((n, 1)))[sample, 0]
     norms = (features**2).sum(axis=1)
     exact = np.concatenate([  # in blocks, to hold a quarter of the (sample, n) distances at a time
         np.exp(-0.5 * np.maximum(norms[rows, None] + norms - 2.0 * features[rows] @ features.T, 0.0)).sum(axis=1)
         for rows in np.array_split(sample, 4)
     ])
-    return lattice, float(np.median(approx / exact))
+    return lattice, _median(approx / exact)
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array, to the bit: the mean of its middle pair."""
+    r, k = np.sort(x), x.size
+    return float(0.5 * (r[(k - 1) // 2] + r[k // 2]))
 
 
 def _gaussian_band(size: int, theta: float) -> list[tuple[slice, slice, np.ndarray]]:

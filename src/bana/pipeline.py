@@ -36,7 +36,7 @@ import numpy as np
 from . import clshead, fileio, metrics, nal
 from .bgattn import attention_map, bap_pool, extract_queries
 from .clshead import ClassifierHead, cam, init_head, sgd_train
-from .core import IGNORE, MAX_CLASSES, BoxSet, build_background_mask, nearest_resize, resize_boxes
+from .core import IGNORE, MAX_CLASSES, BoxSet, build_background_mask, label_classes, nearest_resize, resize_boxes
 from .crf import CrfParams, build_unary, mean_field
 from .pseudolabel import FusedLabels, extract_prototypes, filling_rate, fuse_labels, retrieval_labels
 
@@ -175,7 +175,7 @@ def box_class_ids(boxes_dir: Path, ids: list[str]) -> Iterator[int]:
 def label_class_ids(labels_dir: Path, ids: list[str]) -> Iterator[int]:
     for image_id in ids:
         y = fileio.read_label_map(labels_dir / f"{image_id}.pgm")
-        yield from np.unique(y[y != IGNORE]).tolist()
+        yield from label_classes(y)
 
 
 def resolve_num_classes(num_classes: int | None, meta: Path | None, class_ids: Iterable[int]) -> int:

@@ -11,16 +11,17 @@ region; disagreements are marked IGNORE in the fused map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import IGNORE, BoxSet, as_feature_map, bilinear_resize, unit_norm, validate_label_map
+from .core import IGNORE, BoxSet, as_feature_map, bilinear_resize, label_classes, unit_norm, validate_label_map
 
 
 @dataclass
 class FusedLabels:
-    """Both pseudo-label maps of one image; the trusted region and the fused
-    map are derived from them on each read."""
+    """Both pseudo-label maps of one image. The trusted region is derived from
+    them on each read; the fused map on the first read, then kept."""
 
     y_crf: np.ndarray  # (H, W) uint8
     y_ret: np.ndarray  # (H, W) uint8
@@ -30,10 +31,10 @@ class FusedLabels:
         """(H, W) bool: where the two maps agree."""
         return self.y_crf == self.y_ret
 
-    @property
+    @cached_property
     def fused(self) -> np.ndarray:
         """(H, W) uint8: the agreed label, IGNORE where the maps disagree."""
-        return np.where(self.agree, self.y_crf, IGNORE).astype(np.uint8)
+        return np.where(self.agree, self.y_crf, IGNORE)
 
 
 def extract_prototypes(features: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
@@ -49,11 +50,8 @@ def extract_prototypes(features: np.ndarray, labels: np.ndarray) -> dict[int, np
     if y.shape != f.shape[1:]:
         raise ValueError(f"labels {y.shape} do not match feature grid {f.shape[1:]}")
     protos: dict[int, np.ndarray] = {}
-    for c in np.unique(y):
-        if c == IGNORE:
-            continue
-        mask = y == c
-        protos[int(c)] = f[:, mask].mean(axis=1)
+    for c in label_classes(y):
+        protos[c] = f[:, y == c].mean(axis=1)
     return protos
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BBox, BoxSet
+from .core import BBox, BoxSet, label_classes
 from . import fileio
 
 # Base colors: background, then object classes (repeats after 6).
@@ -80,7 +80,7 @@ def _render_image(gt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ripple = 10.0 * np.sin(2.0 * np.pi * xx / max(8, w // 3)) + 6.0 * np.sin(2.0 * np.pi * yy / max(8, h // 4))
     img = np.empty((h, w, 3), dtype=np.float64)
     img[:] = _BG_COLOR + ripple[..., None]
-    for c in np.unique(gt):
+    for c in label_classes(gt):
         if c == 0:
             continue
         img[gt == c] = _CLASS_COLORS[(c - 1) % len(_CLASS_COLORS)]

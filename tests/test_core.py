@@ -12,6 +12,7 @@ from bana.core import (
     BoxSet,
     bilinear_resize,
     build_background_mask,
+    label_classes,
     nearest_resize,
     resize_boxes,
     validate_label_map,
@@ -188,6 +189,25 @@ class TestLabelMapRule:
     def test_a_float_map_is_rejected(self):
         with pytest.raises(ValueError, match="label map must be integer-typed"):
             validate_label_map(np.zeros((2, 2)))
+
+
+class TestLabelClasses:
+    # label_classes replaced np.unique at three call sites; each must see the
+    # classes it saw before, in the same ascending order.
+    def test_ascending_without_ignore(self):
+        y = np.array([[255, 2, 0], [2, 255, 2]], np.uint8)
+        assert label_classes(y) == [0, 2]
+        assert label_classes(y) == np.unique(y[y != 255]).tolist()  # pipeline.label_class_ids
+        assert label_classes(y) == [int(c) for c in np.unique(y) if c != 255]  # pseudolabel.extract_prototypes
+
+    @pytest.mark.parametrize("values", [[0], [3, 1], [0, 254, 7, 1], []])
+    def test_a_map_without_ignore_gives_every_value(self, values):
+        # synth._render_image's ground truth never holds IGNORE.
+        y = np.array([values * 3], np.uint8).reshape(3, len(values))
+        assert label_classes(y) == np.unique(y).tolist()
+
+    def test_only_ignore_gives_no_class(self):
+        assert label_classes(np.full((2, 3), 255, np.uint8)) == []
 
 
 # ---------------------------------------------------------------------------

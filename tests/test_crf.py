@@ -271,6 +271,26 @@ def test_lattice_vertex_codes_match_their_definition():
     assert np.array_equal(values, reference[0]) and np.array_equal(counts, reference[1])
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 48, 49, 63, 64])
+def test_median_matches_numpy_to_the_bit(size):
+    # Images smaller than 8x8 calibrate the lattice on fewer than 64 pixels,
+    # so the ratio count may be odd or even; ties must not matter either.
+    rng = np.random.default_rng(size)
+    for x in (rng.uniform(0.5, 1.5, size), np.round(rng.uniform(0.5, 1.5, size), 1), -rng.lognormal(size=size)):
+        assert crf._median(x).hex() == float(np.median(x)).hex()
+
+
+def test_lattice_factor_is_numpys_median_ratio_on_small_images(monkeypatch):
+    # The calibration sample drops repeated pixels, so small images give ratio
+    # counts of both parities; the factor must be np.median's on each.
+    median, seen = crf._median, []
+    monkeypatch.setattr(crf, "_median", lambda x: seen.append(x.copy()) or median(x))
+    for side in (2, 5, 7, 8, 9):
+        _, factor = crf._lattice_term(np.random.default_rng(side).normal(size=(side * side, 5)))
+        assert factor.hex() == float(np.median(seen[-1])).hex()
+    assert len(seen) == 5 and {x.size % 2 for x in seen} == {0, 1}
+
+
 def _lattice_reference(features):
     """The lattice's vertex count, each point's vertex indices and, per
     direction, every vertex's next and previous vertex index (m where there is
