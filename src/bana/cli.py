@@ -23,8 +23,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import clshead, fileio, metrics, pipeline, synth
 from .core import IGNORE
 from .crf import CrfParams, mean_field
@@ -238,7 +236,7 @@ def _cmd_labels(args) -> int:
 
 def _cmd_crf(args) -> int:
     _check_outputs(args, "out", "marginals")
-    unary = fileio.read_tensor(args.unary, expected_rank=3).astype(np.float64)
+    unary = fileio.read_tensor(args.unary, expected_rank=3)
     image = fileio.read_image(args.image)
     labels, marginals = mean_field(unary, image, _crf_params(args))
     fileio.write_label_map(args.out, labels)

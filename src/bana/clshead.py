@@ -272,7 +272,7 @@ def load_head(path: str | os.PathLike) -> ClassifierHead:
             f"(num_classes={meta['num_classes']}, dim={meta['dim']})"
         )
     try:
-        return ClassifierHead(weights=w.astype(np.float64), mode=meta["mode"], scale=float(meta["scale"]))
+        return ClassifierHead(weights=w, mode=meta["mode"], scale=float(meta["scale"]))
     except OverflowError:  # a JSON int past float range
         raise fileio.FileFormatError(f"{sidecar}: scale {meta['scale']} is past float range") from None
     except ValueError as e:  # read_tensor passes only finite weights: the sidecar's L, mode or scale is bad

@@ -83,36 +83,32 @@ class BoxSet:
         return [b for b in self.boxes if b.class_id == class_id]
 
 
-def _round_half_up(numer: int, denom: int) -> int:
-    # Exact integer round-half-up of numer/denom; ties away from truncation
-    # keep the mapping deterministic across platforms.
-    return (2 * numer + denom) // (2 * denom)
+def _resize_span(lo: int, hi: int, size: int, cells: int) -> tuple[int, int]:
+    # One side [lo, hi) of a box on an axis of `size` pixels, mapped onto
+    # `cells` grid cells. Exact integer round-half-up keeps the mapping
+    # deterministic across platforms; a collapsed side widens to one cell.
+    start = (2 * lo * cells + size) // (2 * size)
+    end = min((2 * hi * cells + size) // (2 * size), cells)
+    if end <= start:
+        start = min(start, cells - 1)
+        end = start + 1
+    return start, end
 
 
 def resize_boxes(boxes: BoxSet, feat_h: int, feat_w: int) -> BoxSet:
     """Map boxes from image coordinates onto a feature grid.
 
-    Each coordinate is scaled by the grid/image ratio and rounded to the
-    nearest cell boundary. Boxes that collapse to zero area are expanded to
-    a single cell at the rounded min corner, so every box keeps at least one
-    feature cell. Results are clamped to the grid.
+    Each coordinate is scaled by the grid/image ratio, rounded half up to
+    the nearest cell boundary and clamped to the grid. A side that collapses
+    to zero length is widened to a single cell at its clamped start, so every
+    box keeps at least one feature cell. Both axes follow this one rule.
     """
     if feat_h < 1 or feat_w < 1:
         raise ValueError("feature grid dimensions must be >= 1")
     out = []
     for b in boxes.boxes:
-        sx = _round_half_up(b.xmin * feat_w, boxes.image_width)
-        ex = _round_half_up(b.xmax * feat_w, boxes.image_width)
-        sy = _round_half_up(b.ymin * feat_h, boxes.image_height)
-        ey = _round_half_up(b.ymax * feat_h, boxes.image_height)
-        ex = min(ex, feat_w)
-        ey = min(ey, feat_h)
-        if ex <= sx:
-            sx = min(sx, feat_w - 1)
-            ex = sx + 1
-        if ey <= sy:
-            sy = min(sy, feat_h - 1)
-            ey = sy + 1
+        sx, ex = _resize_span(b.xmin, b.xmax, boxes.image_width, feat_w)
+        sy, ey = _resize_span(b.ymin, b.ymax, boxes.image_height, feat_h)
         out.append(BBox(b.class_id, sx, sy, ex, ey))
     return BoxSet(image_width=feat_w, image_height=feat_h, boxes=out)
 

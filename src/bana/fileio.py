@@ -3,7 +3,9 @@
 * ``.btf`` tensors: magic ``BTF1``, u32 little-endian rank, that many u32
   little-endian dims, then row-major 32-bit little-endian IEEE-754 floats.
 * label maps: binary PGM (``P5``), maxval 255, one byte per pixel.
-* RGB images: binary PPM (``P6``), maxval 255.
+* RGB images: binary PPM (``P6``), maxval 255. One reader serves both PNM
+  formats, so their header rule (``#`` comments, one whitespace byte after
+  maxval) and payload-size check are the same.
 * boxes: a JSON object ``{"width", "height", "boxes": [{"class", "xmin",
   "ymin", "xmax", "ymax"}, ...]}``. Every JSON input (boxes, configs, head
   sidecars, corpus manifests) is parsed by :func:`read_json`.
@@ -110,8 +112,11 @@ def read_tensor(path: str | os.PathLike, expected_rank: int | None = None) -> np
 # ---------------------------------------------------------------------------
 
 
-def _parse_pnm_header(data: bytes, path, magic: bytes) -> tuple[int, int, int]:
-    """Return (width, height, pixel_offset); maxval is required to be 255."""
+def _read_pnm(path: str | os.PathLike, magic: bytes, depth: int) -> np.ndarray:
+    """Read a binary PGM (depth 1) or PPM (depth 3) into (H, W, depth) uint8
+    pixels. Width, height and maxval (255) have at most 9 digits each, and
+    whitespace or ``#`` comments to the end of the line separate them."""
+    data = Path(path).read_bytes()
     if data[:2] != magic:
         raise FileFormatError(f"{path}: bad magic {data[:2]!r} at offset 0, expected {magic!r}")
     pos = 2
@@ -138,7 +143,11 @@ def _parse_pnm_header(data: bytes, path, magic: bytes) -> tuple[int, int, int]:
         raise FileFormatError(f"{path}: image dimensions {w}x{h} must be >= 1")
     if maxval != 255:
         raise FileFormatError(f"{path}: maxval {maxval}, only 255 is supported")
-    return w, h, pos
+    expected = w * h * depth
+    actual = len(data) - pos
+    if actual != expected:
+        raise FileFormatError(f"{path}: expected {expected} pixel bytes at offset {pos}, found {actual}")
+    return np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos).reshape(h, w, depth)
 
 
 def write_label_map(path: str | os.PathLike, labels: np.ndarray) -> None:
@@ -154,13 +163,7 @@ def read_label_map(path: str | os.PathLike, num_classes: int | None = None) -> n
     With ``num_classes=L``, a value in (L, 255) is reported by its row and
     column: labels are class indices 0..L or the IGNORE marker 255.
     """
-    data = Path(path).read_bytes()
-    w, h, pix = _parse_pnm_header(data, path, b"P5")
-    expected = w * h
-    actual = len(data) - pix
-    if actual != expected:
-        raise FileFormatError(f"{path}: expected {expected} pixel bytes at offset {pix}, found {actual}")
-    y = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pix).reshape(h, w)
+    y = _read_pnm(path, b"P5", 1)[:, :, 0]
     try:
         return validate_label_map(y, num_classes).copy()
     except ValueError as e:
@@ -180,13 +183,7 @@ def write_image(path: str | os.PathLike, rgb: np.ndarray) -> None:
 
 def read_image(path: str | os.PathLike) -> np.ndarray:
     """Read a binary PPM image into an (H, W, 3) uint8 array."""
-    data = Path(path).read_bytes()
-    w, h, pix = _parse_pnm_header(data, path, b"P6")
-    expected = w * h * 3
-    actual = len(data) - pix
-    if actual != expected:
-        raise FileFormatError(f"{path}: expected {expected} pixel bytes at offset {pix}, found {actual}")
-    return np.frombuffer(data, dtype=np.uint8, count=expected, offset=pix).reshape(h, w, 3).copy()
+    return _read_pnm(path, b"P6", 3).copy()
 
 
 # ---------------------------------------------------------------------------

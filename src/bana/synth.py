@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BBox, BoxSet, label_classes
+from .core import MAX_CLASSES, BBox, BoxSet, label_classes
 from . import fileio
 
 # Base colors: background, then object classes (repeats after 6).
@@ -132,6 +132,8 @@ def synth_corpus(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    if num_classes > MAX_CLASSES:
+        raise ValueError(f"num_classes must be <= {MAX_CLASSES}, got {num_classes}")
     master = np.random.default_rng(seed)
     directions = _class_directions(num_classes, feat_dim, master)
 

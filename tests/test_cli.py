@@ -1279,3 +1279,54 @@ class TestMalformedJsonInputs:
         fileio.write_image(tmp_path / "i.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
         rc = main(["crf", "--unary", str(unary), "--image", str(tmp_path / "i.ppm"), "--out", str(tmp_path / "y.pgm")])
         self._input_error(capsys, rc, unary)
+
+
+class TestMalformedInputFiles:
+    """An outside input that breaks a rule exits 1 with a message naming the file and the offset or field."""
+
+    def _error(self, capsys, argv) -> str:
+        assert main(argv) == 1
+        return capsys.readouterr().err
+
+    def _train_head(self, features, boxes, tmp_path):
+        return ["train-head", "--features-dir", str(features), "--boxes-dir", str(boxes),
+                "--out", str(tmp_path / "h.btf")]
+
+    def test_non_finite_unary_value_names_its_offset(self, tmp_path, capsys):
+        values = np.zeros(8, dtype="<f4")
+        values[3] = np.nan
+        unary = tmp_path / "u.btf"
+        unary.write_bytes(b"BTF1" + np.asarray([3, 2, 2, 2], dtype="<u4").tobytes() + values.tobytes())
+        fileio.write_image(tmp_path / "i.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
+        err = self._error(capsys, ["crf", "--unary", str(unary), "--image", str(tmp_path / "i.ppm"),
+                                   "--out", str(tmp_path / "y.pgm")])
+        assert f"input error: {unary}: non-finite value at offset 32" in err
+
+    def test_head_weights_that_disagree_with_the_sidecar(self, corpus, trained_head, tmp_path, capsys):
+        head = tmp_path / "head.btf"
+        head.write_bytes(trained_head.read_bytes())
+        meta = json.loads(trained_head.with_suffix(".btf.json").read_text())
+        head.with_suffix(".btf.json").write_text(json.dumps({**meta, "num_classes": 2}))
+        err = self._error(capsys, [
+            "labels", "--features", str(corpus / "features" / "0000.btf"),
+            "--boxes", str(corpus / "boxes" / "0000.json"), "--image", str(corpus / "images" / "0000.ppm"),
+            "--head", str(head),
+            "--out-crf", str(tmp_path / "crf.pgm"), "--out-ret", str(tmp_path / "ret.pgm"),
+            "--out-fused", str(tmp_path / "fused.pgm"),
+        ])
+        assert f"input error: {head}: weight shape (4, 8) does not match sidecar (num_classes=2, dim=8)" in err
+
+    def test_empty_features_directory(self, tmp_path, capsys):
+        (tmp_path / "features").mkdir()
+        err = self._error(capsys, self._train_head(tmp_path / "features", tmp_path, tmp_path))
+        assert f"input error: stage 'train-head': no .btf files under {tmp_path / 'features'}" in err
+
+    def test_feature_channel_counts_that_differ(self, corpus, tmp_path, capsys):
+        features, boxes = tmp_path / "features", tmp_path / "boxes"
+        for image_id in ("0000", "0001"):
+            fileio.write_text(boxes / f"{image_id}.json", (corpus / "boxes" / f"{image_id}.json").read_text())
+        f = fileio.read_tensor(corpus / "features" / "0000.btf")
+        fileio.write_tensor(features / "0000.btf", f)
+        fileio.write_tensor(features / "0001.btf", f[:4])
+        err = self._error(capsys, self._train_head(features, boxes, tmp_path))
+        assert "input error: stage 'train-head': image 0001 has 4 feature channels, image 0000 has 8" in err

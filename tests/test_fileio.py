@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -146,12 +147,25 @@ class TestDirectories:
         assert list(tmp_path.iterdir()) == []
 
     def test_only_fileio_makes_directories(self):
-        src = Path(bana.__file__).parent
-        calls = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py")) if path.name != "fileio.py"
-                 for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None))
-                 in ("mkdir", "makedirs")]
-        assert calls == []
+        assert _calls_outside_fileio(lambda func, name: name in ("mkdir", "makedirs")) == []
+
+    def test_only_fileio_touches_file_bytes(self):
+        def touches(func, name):
+            if name == "write_text":  # fileio.write_text is the one way to write text
+                return not (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "fileio")
+            return name in ("open", "frombuffer", "read_bytes", "write_bytes", "read_text")
+
+        assert _calls_outside_fileio(touches) == []
+
+
+def _calls_outside_fileio(matches) -> list[str]:
+    """``file:line`` of each call, in a bana module other than fileio, whose
+    callee ``matches(func, name)``; ``name`` is the called attribute or name."""
+    src = Path(bana.__file__).parent
+    return [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py")) if path.name != "fileio.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and matches(node.func, getattr(node.func, "attr", getattr(node.func, "id", None)))]
 
 
 class TestImage:
@@ -167,6 +181,24 @@ class TestImage:
         path.write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 4)
         with pytest.raises(FileFormatError, match="bad magic"):
             read_image(path)
+
+
+@pytest.mark.parametrize("read, magic, depth", [(read_label_map, b"P5", 1), (read_image, b"P6", 3)],
+                         ids=["pgm", "ppm"])
+class TestPnmHeader:
+    """Label maps and images share one header rule."""
+
+    def test_comments_before_and_between_fields(self, tmp_path, read, magic, depth):
+        path = tmp_path / "x.pnm"
+        path.write_bytes(magic + b"\n# c\n2 # w\n1\n# d\n255\n" + bytes(range(2 * depth)))
+        pixels = read(path)
+        assert pixels.shape[:2] == (1, 2) and pixels.ravel().tolist() == list(range(2 * depth))
+
+    def test_zero_dimension_rejected(self, tmp_path, read, magic, depth):
+        path = tmp_path / "x.pnm"
+        path.write_bytes(magic + b"\n0 1\n255\n")
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: image dimensions 0x1 must be >= 1$"):
+            read(path)
 
 
 class TestBoxes:
@@ -203,6 +235,16 @@ class TestBoxes:
         path = tmp_path / "b.json"
         path.write_text(text)
         with pytest.raises(FileFormatError, match=message):
+            read_boxes(path)
+
+    @pytest.mark.parametrize("box, message", [
+        ('{"class": 1, "xmin": 0, "ymin": 0, "xmax": 2}', "boxes\\[0\\] missing key 'ymax'"),
+        ('{"class": 1, "xmin": 4, "ymin": 0, "xmax": 6, "ymax": 2}', "box .* lies entirely outside a 4x4 image"),
+    ], ids=["missing-ymax", "outside-the-frame"])
+    def test_malformed_box_names_the_file(self, tmp_path, box, message):
+        path = tmp_path / "b.json"
+        path.write_text(f'{{"width": 4, "height": 4, "boxes": [{box}]}}')
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
             read_boxes(path)
 
     def test_class_past_254_names_file_and_box(self, tmp_path):

@@ -111,12 +111,13 @@ class TestGuards:
     @pytest.mark.parametrize("setting, message", [
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"num_classes": 0}, "num_classes must be >= 1, got 0"),
+        ({"num_classes": 300, "feat_dim": 512}, "num_classes must be <= 254, got 300"),
         ({"num_classes": 8}, "feature dim 8 must be >= num_classes \\+ 1"),
         ({"num_images": 0}, "num_images must be >= 1, got 0"),
         ({"feat_stride": 0}, "feat_stride must be >= 1, got 0"),
         ({"feat_stride": -4}, "feat_stride must be >= 1, got -4"),
-    ], ids=["negative-seed", "no-classes", "more-classes-than-feature-dims", "no-images", "zero-stride",
-            "negative-stride"])
+    ], ids=["negative-seed", "no-classes", "too-many-classes", "more-classes-than-feature-dims", "no-images",
+            "zero-stride", "negative-stride"])
     def test_bad_setting_rejected_by_name_before_writing(self, tmp_path, setting, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             synth_corpus(tmp_path / "c", **{"num_images": 2, "size": 16, **setting})
