@@ -97,18 +97,17 @@ def _add_settings_flags(p: argparse.ArgumentParser, base, flags: dict[str, str])
                        help=_FLAG_HELP.get(flag))
 
 
-def _check_outputs(args, *names: str) -> None:
-    """Reject each output path ``args.<name>`` that is a directory or lies in a
-    missing one, so that a command fails before its first write, not after it."""
-    for name in names:
-        path = getattr(args, name)
-        if path is None:
-            continue
-        flag, path = "--" + name.replace("_", "-"), Path(path)
+class _Output(argparse.Action):
+    """An output-file flag: a path that is a directory or lies in a missing one is
+    rejected while the command line is parsed, so a command fails before its first write."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        flag, path = self.option_strings[0], Path(value)
         if not path.parent.is_dir():
             raise ValueError(f"{flag} {path}: directory {path.parent} does not exist")
         if path.is_dir():
             raise ValueError(f"{flag} {path} is a directory")
+        setattr(namespace, self.dest, value)
 
 
 def _crf_params(args) -> CrfParams:
@@ -134,7 +133,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-head", help="train the classification head")
     p.add_argument("--features-dir", required=True)
     p.add_argument("--boxes-dir", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, action=_Output)
     p.add_argument("--classes", type=_num_classes, default=None, help="number of object classes (default: inferred)")
 
     p = sub.add_parser("labels", help="generate pseudo labels for one image")
@@ -142,25 +141,25 @@ def build_parser() -> _Parser:
     p.add_argument("--boxes", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--head", required=True)
-    p.add_argument("--out-crf", required=True)
-    p.add_argument("--out-ret", required=True)
-    p.add_argument("--out-fused", required=True)
-    p.add_argument("--out-attention", default=None, help="also dump the attention map as .btf")
-    p.add_argument("--filling-rate-csv", default=None)
+    p.add_argument("--out-crf", required=True, action=_Output)
+    p.add_argument("--out-ret", required=True, action=_Output)
+    p.add_argument("--out-fused", required=True, action=_Output)
+    p.add_argument("--out-attention", action=_Output, help="also dump the attention map as .btf")
+    p.add_argument("--filling-rate-csv", action=_Output)
 
     p = sub.add_parser("crf", help="mean-field inference on a unary stack")
     p.add_argument("--unary", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--marginals", default=None, help="dump final marginals as rank-3 .btf")
+    p.add_argument("--out", required=True, action=_Output)
+    p.add_argument("--marginals", action=_Output, help="dump final marginals as rank-3 .btf")
 
     p = sub.add_parser("nal-train", help="train the segmentation head")
     p.add_argument("--features-dir", required=True)
     p.add_argument("--labels-crf-dir", required=True)
     p.add_argument("--labels-ret-dir", required=True)
-    p.add_argument("--out-head", required=True)
+    p.add_argument("--out-head", required=True, action=_Output)
     p.add_argument("--classes", type=_num_classes, default=None)
-    p.add_argument("--loss-csv", default=None)
+    p.add_argument("--loss-csv", action=_Output)
     p.add_argument("--dump-confidence-dir", default=None,
                    help="write per-image confidence maps as .btf while training")
     p.add_argument("--dump-confidence-every", type=_setting(_CONFIG, "dump_confidence_every"), default=10,
@@ -170,7 +169,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--ref-dir", required=True)
     p.add_argument("--classes", type=_num_classes, required=True)
-    p.add_argument("--out", default=None, help="write the JSON report here as well")
+    p.add_argument("--out", action=_Output, help="write the JSON report here as well")
 
     for command, flags in _STAGE_FLAGS.items():
         _add_settings_flags(sub.choices[command], _CONFIG, flags)
@@ -199,7 +198,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_train_head(args) -> int:
-    _check_outputs(args, "out")
     features_dir, boxes_dir = Path(args.features_dir), Path(args.boxes_dir)
     ids = pipeline.stage_ids(features_dir, ".btf", "train-head")
     num_classes = pipeline.resolve_num_classes(args.classes, None, pipeline.box_class_ids(boxes_dir, ids))
@@ -213,7 +211,6 @@ def _cmd_train_head(args) -> int:
 
 
 def _cmd_labels(args) -> int:
-    _check_outputs(args, "out_crf", "out_ret", "out_fused", "out_attention", "filling_rate_csv")
     f = fileio.read_tensor(args.features, expected_rank=3)
     boxes = fileio.read_boxes(args.boxes)
     image = fileio.read_image(args.image)
@@ -235,7 +232,6 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_crf(args) -> int:
-    _check_outputs(args, "out", "marginals")
     unary = fileio.read_tensor(args.unary, expected_rank=3)
     image = fileio.read_image(args.image)
     labels, marginals = mean_field(unary, image, _crf_params(args))
@@ -246,7 +242,6 @@ def _cmd_crf(args) -> int:
 
 
 def _cmd_nal_train(args) -> int:
-    _check_outputs(args, "out_head", "loss_csv")
     features_dir, crf_dir = Path(args.features_dir), Path(args.labels_crf_dir)
     ids = pipeline.stage_ids(features_dir, ".btf", "nal-train")
     num_classes = pipeline.resolve_num_classes(args.classes, None, pipeline.label_class_ids(crf_dir, ids))
@@ -264,7 +259,6 @@ def _cmd_nal_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_outputs(args, "out")
     pred_dir = Path(args.pred_dir)
     ids = pipeline.stage_ids(pred_dir, ".pgm", "eval")
     report = metrics.score(pipeline.label_confusion(pred_dir, Path(args.ref_dir), ids, args.classes))

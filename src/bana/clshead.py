@@ -64,6 +64,15 @@ class ClassifierHead:
     def dim(self) -> int:
         return self.weights.shape[1]
 
+    def check_fits(self, mode: str, channels: int, use: str) -> None:
+        """The one rule for applying a head to features: it is a ``mode`` head that scores
+        ``channels``-channel features. ``use``, a plural noun, names what needs it."""
+        if self.mode != mode:
+            role = {"dot": "classification", "cosine": "segmentation"}[mode]
+            raise ValueError(f"{use} need a {mode} head (the {role} head), got a {self.mode!r} head")
+        if channels != self.dim:
+            raise ValueError(f"feature channels {channels} do not match head dim {self.dim}")
+
 
 def init_head(num_classes: int, dim: int, *, seed: int) -> ClassifierHead:
     """Gaussian init (zero mean, std 1e-2) of an (L+1, C) dot-product head."""
@@ -233,13 +242,10 @@ def cam(features: np.ndarray, head: ClassifierHead, class_id: int) -> np.ndarray
     the attention map instead, because a background evidence map would just
     highlight whatever occurs most often in training.
     """
-    if head.mode != "dot":
-        raise ValueError(f"class evidence maps need a dot head (the classification head), got a {head.mode!r} head")
     f = as_feature_map(features)
+    head.check_fits("dot", f.shape[0], "class evidence maps")
     if not (1 <= class_id <= head.num_classes):
         raise ValueError(f"class_id must be in [1, {head.num_classes}], got {class_id}")
-    if f.shape[0] != head.dim:
-        raise ValueError(f"feature channels {f.shape[0]} do not match head dim {head.dim}")
     return np.maximum(np.einsum("chw,c->hw", f, head.weights[class_id]), 0.0)
 
 

@@ -96,18 +96,17 @@ def correlation_maps(features: np.ndarray | SegSample, head: ClassifierHead | Co
 
     A raw feature map is checked and normalized here; a :class:`SegSample`
     brings its unit features, and the :class:`~bana.clshead.CosineWeights` of
-    a training step bring the unit weight rows, so neither is normalized again.
+    a training step, whose head fits its sample, bring the unit weight rows, so
+    neither is normalized or checked again.
     """
-    if isinstance(head, ClassifierHead) and head.mode != "cosine":
-        raise ValueError(f"correlations need a cosine head (the segmentation head), got a {head.mode!r} head")
     if isinstance(features, SegSample):
         unit_f = features.unit_features
     else:
         unit_f = unit_norm(as_feature_map(features), axis=0)
-    unit_w = head.unit if isinstance(head, CosineWeights) else unit_norm(head.weights, axis=1)
-    if unit_f.shape[0] != unit_w.shape[1]:
-        raise ValueError(f"feature channels {unit_f.shape[0]} do not match head dim {unit_w.shape[1]}")
-    return 1.0 + np.einsum("kc,chw->khw", unit_w, unit_f)
+    if isinstance(head, ClassifierHead):
+        head.check_fits("cosine", unit_f.shape[0], "correlations")
+        head = cosine_weights(head.weights, head.scale)
+    return 1.0 + np.einsum("kc,chw->khw", head.unit, unit_f)
 
 
 def confidence_map(correlations: np.ndarray, y_crf: np.ndarray, gamma: float) -> np.ndarray:
@@ -146,10 +145,7 @@ def nal_loss_and_grad(
     terms (:func:`~bana.clshead.ce_kernel`). The gradient treats the
     confidence weights as constants. The report records the map used.
     """
-    if head.mode != "cosine":
-        raise ValueError(f"the noise-aware loss scores by cosine, got a {head.mode!r} head")
-    if head.dim != sample.dim:
-        raise ValueError(f"feature channels {sample.dim} do not match head dim {head.dim}")
+    head.check_fits("cosine", sample.dim, "the noise-aware loss and its gradient")
     if sample.max_label > head.num_classes:
         raise ValueError(f"CRF label {sample.max_label} is past the head's {head.num_classes} classes")
     w = cosine_weights(head.weights, head.scale)
@@ -247,12 +243,9 @@ def train_seg_head(
 
 def predict_probabilities(features: np.ndarray, head: ClassifierHead, out_h: int, out_w: int) -> np.ndarray:
     """Per-pixel softmax maps of a cosine head, bilinearly upsampled to (out_h, out_w)."""
-    if head.mode != "cosine":
-        raise ValueError(f"predictions need a cosine head (the segmentation head), got a {head.mode!r} head")
     f = as_feature_map(features)
     c, h, w = f.shape
-    if c != head.dim:
-        raise ValueError(f"feature channels {c} do not match head dim {head.dim}")
+    head.check_fits("cosine", c, "predictions")
     z = head.scale * (unit_norm(f.reshape(c, -1).T, axis=1) @ unit_norm(head.weights, axis=1).T)
     probs = softmax(z, axis=1).T.reshape(-1, h, w)
     return bilinear_resize(probs, out_h, out_w)

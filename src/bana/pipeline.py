@@ -281,15 +281,14 @@ def generate_labels_for_image(
     """Full label generation for one image.
 
     Returns the fused label bundle, the attention map (feature resolution),
-    and the per-box filling rates of the fused labels. A head that is not a
-    dot head, a boxes frame other than the image's size, or a box class past
-    the head's, is rejected before any map is built.
+    and the per-box filling rates of the fused labels. A boxes frame other
+    than the image's size, a head other than a dot head of the features'
+    channels, or a box class past the head's, is rejected before any map is built.
     """
     if image.shape[:2] != (boxes.image_height, boxes.image_width):
         raise ValueError(f"boxes frame {boxes.image_width}x{boxes.image_height} does not match the "
                          f"{image.shape[1]}x{image.shape[0]} image (width x height)")
-    if head.mode != "dot":  # cam checks it too, but only for an image with boxes
-        raise ValueError(f"class evidence maps need a dot head (the classification head), got a {head.mode!r} head")
+    head.check_fits("dot", features.shape[0], "class evidence maps")  # cam's check, but also for an image without boxes
     class_ids = boxes.class_ids()
     if class_ids and class_ids[-1] > head.num_classes:
         raise ValueError(f"box class {class_ids[-1]} is past the head's {head.num_classes} classes")
@@ -478,14 +477,18 @@ def run_eval_stage(cfg: PipelineConfig) -> Path:
         }
     if have_seg:
         seg_head = clshead.load_head(seg_head_path)
-        preds = []
-        for image_id in ids:  # each map's classes checked here, so scoring cannot fail once preds/ is written
+        preds, cm = [], 0
+        for image_id in ids:
             f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
-            h, w = fileio.read_label_map(gt_dir / f"{image_id}.pgm", num_classes).shape
-            preds.append(nal.predict_labels(f, seg_head, h, w))
-        for image_id, pred in zip(ids, preds):
+            gt = fileio.read_label_map(gt_dir / f"{image_id}.pgm", num_classes)
+            preds.append(nal.predict_labels(f, seg_head, *gt.shape))
+            try:
+                cm += metrics.confusion(preds[-1], gt, num_classes)
+            except ValueError as e:  # a head that scores more classes than the corpus has
+                raise ValueError(f"{seg_head_path} on image {image_id}: {e}") from None
+        report["segmentation"] = metrics.score(cm)
+        for image_id, pred in zip(ids, preds):  # scored first, so a failed score writes no prediction
             fileio.write_label_map(out / "preds" / f"{image_id}.pgm", pred)
-        report["segmentation"] = metrics.score(label_confusion(out / "preds", gt_dir, ids, num_classes))
     path = out / "metrics.json"
     fileio.write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path

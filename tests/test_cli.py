@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bana import clshead, fileio, pipeline
-from bana.cli import _CRF_FLAGS, _crf_params, build_parser, main
+from bana.cli import _CRF_FLAGS, _Output, _crf_params, build_parser, main
 from bana.crf import CrfParams
 from bana.pipeline import PipelineConfig, run_pipeline
 
@@ -155,6 +155,20 @@ class TestMismatchedHead:
                    "--out-crf", str(outputs[0]), "--out-ret", str(outputs[1]), "--out-fused", str(outputs[2])])
         assert rc == 1
         assert "need a dot head (the classification head), got a 'cosine' head" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
+    def test_labels_command_rejects_a_head_of_another_dim_for_an_image_without_boxes(self, corpus, tmp_path,
+                                                                                       capsys):
+        head = tmp_path / "head.btf"
+        clshead.save_head(head, clshead.ClassifierHead(weights=np.zeros((4, 5))))  # the corpus's features have 8
+        boxes = tmp_path / "empty.json"
+        boxes.write_text(json.dumps({"width": 48, "height": 48, "boxes": []}))
+        outputs = [tmp_path / name for name in ("crf.pgm", "ret.pgm", "fused.pgm")]
+        rc = main(["labels", "--features", str(corpus / "features" / "0000.btf"), "--boxes", str(boxes),
+                   "--image", str(corpus / "images" / "0000.ppm"), "--head", str(head),
+                   "--out-crf", str(outputs[0]), "--out-ret", str(outputs[1]), "--out-fused", str(outputs[2])])
+        assert rc == 1
+        assert "input error: feature channels 8 do not match head dim 5" in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
     @pytest.mark.parametrize("kind, message", [
@@ -1191,6 +1205,18 @@ class TestOutputsInAMissingDirectory:
         argv[argv.index("--dump-confidence-dir") + 1] = str(tmp_path / "new" / "a" / "conf")
         assert main(argv) == 1 and "input error: training diverged" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
+
+
+def test_every_output_file_flag_is_checked_as_parsed():
+    # A new output-file flag declared without the check shows up here, and
+    # TestOutputsInAMissingDirectory must then name it too. Directories (synth --out,
+    # --dump-confidence-dir) are not files.
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    declared = {(command, action.option_strings[0]) for command, p in subcommands.items()
+                for action in p._actions if isinstance(action, _Output)}
+    test = TestOutputsInAMissingDirectory.test_output_in_a_missing_directory_writes_nothing
+    parametrized = next(m for m in test.pytestmark if m.name == "parametrize").args[1]
+    assert declared == set(parametrized) and len(parametrized) == 11
 
 
 class TestMalformedJsonInputs:

@@ -198,7 +198,7 @@ class TestNalLoss:
             nal_loss_and_grad(prepare_seg_sample(f, fuse_labels(y, y)), head, gamma=7.0, lam=0.1)
 
     @pytest.mark.parametrize("mode, classes, dim, match", [
-        ("dot", 2, 3, "scores by cosine"), ("cosine", 1, 3, "CRF label 2 is past the head's 1 classes"),
+        ("dot", 2, 3, "need a cosine head"), ("cosine", 1, 3, "CRF label 2 is past the head's 1 classes"),
         ("cosine", 2, 4, "feature channels 3 do not match head dim 4"),
     ])
     def test_head_that_cannot_score_the_sample_rejected(self, mode, classes, dim, match):

@@ -3,9 +3,12 @@
 import ast
 import concurrent.futures
 import dataclasses
+import faulthandler
 import inspect
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 from bana import clshead, fileio, metrics, pipeline
+from bana.cli import main
 from bana.core import IGNORE
 from bana.pipeline import (
     PipelineConfig,
@@ -38,6 +42,11 @@ def _cfg(corpus, out, **kw):
     base = dict(corpus_dir=str(corpus), out_dir=str(out), head_epochs=30, seg_epochs=12)
     base.update(kw)
     return PipelineConfig(**base)
+
+
+def _tree(out):
+    """Every path under ``out`` but the run record config.json, with the bytes of each file."""
+    return {p.relative_to(out): p.is_file() and p.read_bytes() for p in out.rglob("*") if p.name != "config.json"}
 
 
 class TestConfig:
@@ -265,6 +274,41 @@ class TestFailedStageWritesNothing:
         with pytest.raises(ValueError, match=message):
             run_pipeline(_cfg(corpus, out, stages=[stage], head_epochs=5, seg_epochs=2, **settings))
         assert snapshot() == before
+
+    def test_eval_head_of_more_classes_names_it_and_writes_no_prediction(self, tmp_path):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        synth_corpus(corpus, seed=3, num_images=2, size=32, num_classes=2)
+        # A 3-class cosine head whose class 3 points along image 0000's mean feature, so it wins there.
+        f = fileio.read_tensor(corpus / "features" / "0000.btf", expected_rank=3)
+        weights = np.zeros((4, f.shape[0]))
+        weights[3] = f.mean(axis=(1, 2))
+        head = out / "seg" / "seg_head.btf"
+        clshead.save_head(head, clshead.ClassifierHead(weights=weights, mode="cosine"))
+        before = _tree(out)
+        message = f"{re.escape(str(head))} on image 0000: label out of range: value 3 .* with num_classes=2"
+        with pytest.raises(ValueError, match=message):
+            pipeline.run_eval_stage(_cfg(corpus, out, stages=["eval"]))
+        assert _tree(out) == before
+
+    def test_dead_labels_worker_is_an_error_that_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only a forked worker runs the patched label generation")
+        corpus, out, cfg_path = tmp_path / "corpus", tmp_path / "out", tmp_path / "cfg.json"
+        synth_corpus(corpus, seed=3, num_images=2, size=32, num_classes=3)
+        run_pipeline(_cfg(corpus, out, stages=["train-head"], head_epochs=5))
+        cfg = _cfg(corpus, out, stages=["labels"], jobs=2)
+        cfg_path.write_text(cfg.to_json())
+        monkeypatch.setattr(pipeline, "generate_labels_for_image", lambda *args, **kwargs: os._exit(3))
+        before = _tree(out)
+        faulthandler.dump_traceback_later(30.0, exit=True, file=sys.__stderr__)  # a hang ends the run
+        try:
+            with pytest.raises(PipelineError, match="stage 'labels': a worker process died"):
+                pipeline.run_labels_stage(cfg)
+            assert main(["run", "--config", str(cfg_path)]) == 1
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert "input error: stage 'labels': a worker process died" in capsys.readouterr().err
+        assert _tree(out) == before
 
     def test_labels_worker_writes_nothing(self):
         # The pool's task returns its results; only run_labels_stage writes them.
