@@ -45,6 +45,11 @@ _MAX_FEATURE_STEP = 8.0
 # with theta_gamma = 3 at 256^2 and 512^2, blocks of 32 or 64 rows took a
 # tenth of the dense product's time and blocks of 128 four times as long as 64.
 _SPATIAL_BLOCK = 64
+# Points per block of the lattice's simplices and of its slice, and float64
+# values per block of each blur direction's gathers (4096 vertices at L = 4):
+# blocks bound the temporaries, and smaller ones measured slower.
+_LATTICE_POINTS = 2048
+_BLUR_VALUES = 1 << 14
 # The ranges of the kernel weights and bandwidths, inside which float64 holds
 # the kernels' arithmetic. Past them 2 theta^2 underflows to 0 or overflows, or
 # a weighted message sum overflows, and the marginals turn NaN. Past the
@@ -220,7 +225,11 @@ def _vertex_codes(rem0: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.nd
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values of an integer array and the count of each. On a
     lattice's few thousand codes a sort beats ``np.unique``'s hash table."""
-    s = np.sort(a, axis=None)
+    return _runs(np.sort(a, axis=None))
+
+
+def _runs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted 1-D array and the length of each run."""
     starts = np.flatnonzero(np.append(True, s[1:] != s[:-1]))
     return s[starts], np.diff(starts, append=s.size)
 
@@ -242,15 +251,24 @@ class _Lattice:
     sorted along each direction and looked up among the class below's, about
     m / (d+1) keys. ``neighbours[j]`` holds direction j's next vertex of each
     vertex, then its previous one (m, an always-zero slot, where there is
-    none), so that one gather fetches both.
+    none), so that one gather fetches both. The tables are int32.
     """
 
     def __init__(self, features: np.ndarray) -> None:
-        # Temporaries are freed as soon as they are used up (the helpers'
-        # locals on return, the large arrays here by ``del``), because the
-        # set-up's peak memory shows in the labels stage's peak RSS.
-        d = features.shape[1]
-        rem0, rank, self.weights = _enclosing_simplices(features)
+        # The set-up's peak memory shows in the labels stage's peak RSS, so
+        # the simplices are found block by block and every temporary is freed
+        # as soon as it is used up (the helpers' locals on return, the large
+        # arrays here by ``del``). The int32 tables hold indices up to 2m, and
+        # m <= n (d+1) (d+2): n (d+1) occupied vertices and at most one more
+        # per pair of their 2 (d+1) neighbours.
+        n, d = features.shape
+        if 2 * n * (d + 1) * (d + 2) >= 2**31:
+            raise ValueError(f"lattice vertex indices may not fit 32 bits: {n} points are too many")
+        rem0, rank = np.empty((n, d + 1), dtype=np.int64), np.empty((n, d + 1), dtype=np.int64)
+        self.weights = np.empty((n, d + 1))
+        for s in range(0, n, _LATTICE_POINTS):
+            rows = slice(s, s + _LATTICE_POINTS)
+            rem0[rows], rank[rows], self.weights[rows] = _enclosing_simplices(features[rows])
         codes, stride = _vertex_codes(rem0, rank)
         del rem0, rank
         # A blur step along direction j adds d+1 to coordinate j (j < d) and
@@ -261,19 +279,22 @@ class _Lattice:
         # One argsort of the points' codes gives the occupied vertices and,
         # once the vertex set is known, every point's vertex indices.
         order = np.argsort(codes, axis=None)
-        ranked = codes.ravel()[order]
-        first = np.append(True, ranked[1:] != ranked[:-1])
-        occupied = ranked[first]
+        occupied, counts = _runs(codes.ravel()[order])
+        del codes
         rem = occupied % (d + 1)
-        near, hits = _distinct(np.concatenate([  # the codes a step ahead and a step behind
-            occupied + step + np.where(rem == 0, wrap, 0), occupied - step - np.where(rem == d, wrap, 0)]))
-        merged = np.sort(np.concatenate([occupied, near[hits >= 2]]), kind="stable")  # merges two sorted runs
-        vertices = merged[np.append(True, merged[1:] != merged[:-1])]
+        near = np.empty((2, d + 1, occupied.size), dtype=np.int64)  # the codes a step ahead and a step behind
+        np.add(occupied + np.where(rem == 0, wrap, 0), step, out=near[0])
+        np.subtract(occupied - np.where(rem == d, wrap, 0), step, out=near[1])
+        near.reshape(-1).sort()  # in place
+        near, hits = _runs(near.reshape(-1))
+        # A stable sort merges the two sorted runs.
+        vertices = _runs(np.sort(np.concatenate([occupied, near[hits >= 2]]), kind="stable"))[0]
+        del near, hits
         self.size = m = vertices.size
-        self.index = np.empty(codes.shape, dtype=np.int64)  # (n, d+1)
-        self.index.ravel()[order] = np.searchsorted(vertices, occupied)[np.cumsum(first) - 1]
-        del codes, order, ranked, first, occupied, rem, near, hits, merged
-        table = [np.full(2 * m + 1, m) for _ in range(d + 1)]
+        self.index = np.empty((n, d + 1), dtype=np.int32)
+        self.index.ravel()[order] = np.repeat(np.searchsorted(vertices, occupied).astype(np.int32), counts)
+        del order, occupied, counts, rem
+        table = np.full((d + 1, 2 * m + 1), m, dtype=np.int32)
         remainder = vertices % (d + 1)
         members = [np.flatnonzero(remainder == r) for r in range(d + 1)]
         for r, source in enumerate(members):
@@ -281,33 +302,51 @@ class _Lattice:
             target = vertices[source] + step + (wrap if r == 0 else 0)
             k = below[np.minimum(np.searchsorted(vertices[below], target), below.size - 1)]
             k[vertices[k] != target] = m
-            for row, ahead_of in zip(table, k):
-                row[source] = ahead_of
+            table[:, source] = k
         # The step ahead is one-to-one within each direction, so one scatter
         # per row inverts it; the missing neighbours all land in column 2m.
+        ids = np.arange(m, dtype=np.int32)
         for row in table:
-            row[m + row[:m]] = np.arange(m)
-        self.neighbours = [row[: 2 * m] for row in table]
+            row[m + row[:m]] = ids
+        self.neighbours = table[:, : 2 * m]
 
     def blur(self, values: np.ndarray) -> np.ndarray:
         """(n, L) values -> (n, L) filtered values."""
-        m, L = self.size, values.shape[1]
+        m, (n, L) = self.size, values.shape
         lat = np.zeros((m + 1, L))
-        flat, weights = self.index.ravel(), self.weights.ravel()
+        # np.bincount and np.take cast int32 indices to intp on every call, so
+        # the splat casts the vertex indices once for all L channels.
+        flat, weights = self.index.astype(np.intp).ravel(), self.weights.ravel()
         for l in range(L):  # each point's value once per vertex of its simplex
-            lat[:m, l] = np.bincount(flat, weights=weights * np.repeat(values[:, l], self.index.shape[1]), minlength=m)
-        # 0.5 x + 0.25 (next + previous) per direction. Every index is in
-        # [0, m], so "clip" clips none; unlike "raise", it fills ``out`` as is.
-        pair = np.empty((2 * m, L))
+            spread = np.repeat(values[:, l], self.index.shape[1])
+            spread *= weights
+            lat[:m, l] = np.bincount(flat, weights=spread, minlength=m)
+        del flat, spread  # each large buffer is freed before the next is made
+        # 0.5 x + 0.25 (next + previous) per direction, into a second buffer,
+        # one block of vertices at a time. Every index is in [0, m], so "clip"
+        # clips none; unlike "raise", it fills ``out`` as is.
+        out = np.empty((m + 1, L))
+        out[m] = 0.0
+        size = _BLUR_VALUES // L
+        gathered = np.empty(2 * min(m, size) * L)
         for both in self.neighbours:
-            lat.take(both, axis=0, out=pair, mode="clip")
-            pair[:m] += pair[m:]
-            pair[:m] *= 0.25
-            lat[:m] *= 0.5
-            lat[:m] += pair[:m]
-        del pair  # each large buffer is freed before the next is made
-        lat = lat.take(self.index, axis=0)  # (n, d+1, L), freeing the vertex values
-        return np.einsum("nrl,nr->nl", lat, self.weights)
+            both = both.reshape(2, m)
+            for s in range(0, m, size):
+                rows = slice(s, min(m, s + size))
+                pair = gathered[: 2 * L * (rows.stop - s)].reshape(2, -1, L)
+                lat.take(both[:, rows], axis=0, out=pair, mode="clip")
+                ahead, behind = pair
+                ahead += behind
+                ahead *= 0.25
+                np.multiply(lat[rows], 0.5, out=out[rows])
+                out[rows] += ahead
+            lat, out = out, lat
+        del out, gathered, pair, ahead, behind
+        sliced = np.empty((n, L))
+        for s in range(0, n, _LATTICE_POINTS):  # each point's d+1 vertex values, weighted
+            rows = slice(s, s + _LATTICE_POINTS)
+            np.einsum("nrl,nr->nl", lat.take(self.index[rows], axis=0), self.weights[rows], out=sliced[rows])
+        return sliced
 
 
 def _lattice_term(features: np.ndarray) -> tuple[_Lattice, float]:
@@ -319,11 +358,18 @@ def _lattice_term(features: np.ndarray) -> tuple[_Lattice, float]:
     sample = _distinct((np.arange(count) * ((math.sqrt(5.0) - 1.0) / 2.0) * n).astype(np.int64) % n)[0]
     approx = lattice.blur(np.ones((n, 1)))[sample, 0]
     norms = (features**2).sum(axis=1)
-    exact = np.concatenate([  # in blocks, to hold a quarter of the (sample, n) distances at a time
-        np.exp(-0.5 * np.maximum(norms[rows, None] + norms - 2.0 * features[rows] @ features.T, 0.0)).sum(axis=1)
-        for rows in np.array_split(sample, 4)
-    ])
-    return lattice, _median(approx / exact)
+    # In blocks, to hold a quarter of the (sample, n) distances at a time, in
+    # two buffers that every block reuses: fresh ones of this size would be
+    # mapped and faulted in again on each call.
+    exact, dist, dots = [], np.empty((-(-sample.size // 4), n)), np.empty((-(-sample.size // 4), n))
+    for rows in np.array_split(sample, 4):
+        d2, g = dist[: rows.size], dots[: rows.size]
+        np.add(norms[rows, None], norms, out=d2)
+        d2 -= np.matmul(2.0 * features[rows], features.T, out=g)
+        np.maximum(d2, 0.0, out=d2)
+        d2 *= -0.5
+        exact.append(np.exp(d2, out=d2).sum(axis=1))
+    return lattice, _median(approx / np.concatenate(exact))
 
 
 def _median(x: np.ndarray) -> float:
@@ -355,18 +401,22 @@ def _lattice_messages(image: np.ndarray, params: CrfParams):
             pos * min(1.0 / params.theta_alpha, _MAX_FEATURE_STEP),
             col * min(1.0 / params.theta_beta, _MAX_FEATURE_STEP),
         ])
+        del pos, col
         lattice, c = _lattice_term(features)
         bilateral = params.w1 / c, lattice
     # The spatial Gaussian factors into one over rows and one over columns.
     g_y, g_x = (_gaussian_band(size, params.theta_gamma) for size in (h, w))
 
     def messages(q):
-        # sum_{j != i} k(i, j) q_j: each term's sums minus its self term.
-        msg = np.zeros_like(q)
+        # sum_{j != i} k(i, j) q_j: each term's sums minus its self term. The
+        # lattice blurs before ``msg`` is made, which keeps it out of the peak.
         if bilateral is not None:
             gain, lattice = bilateral
             flat = q.reshape(q.shape[0], -1).T
-            msg += (gain * lattice.blur(flat) - params.w1 * flat).T.reshape(q.shape)
+            term = (gain * lattice.blur(flat) - params.w1 * flat).T.reshape(q.shape)
+        msg = np.zeros_like(q)
+        if bilateral is not None:
+            msg += term
         if params.w2 > 0.0:
             # G_y @ q @ G_x, block by block; both matrices are symmetric.
             by_rows = np.empty_like(q)

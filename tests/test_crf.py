@@ -336,11 +336,13 @@ def _reference_blur(index, weights, tables, values):
     return np.einsum("nrl,nr->nl", lat.take(index, axis=0), weights)
 
 
-def _corpus_features(tmp_path):
-    # Image 0000 of the seed-0 64^2 corpus under the pipeline's and the paper's
-    # CRF settings, scaled as mean_field scales them.
+def _corpus_features(tmp_path, shape=(64, 64)):
+    # Image 0000 of the seed-0 64^2 corpus, tiled and cropped to ``shape``,
+    # under the pipeline's and the paper's CRF settings, scaled as mean_field
+    # scales them.
     synth_corpus(tmp_path, seed=0, num_images=1, size=64, num_classes=3)
-    pos, col = crf._pixel_features(fileio.read_image(tmp_path / "images" / "0000.ppm"))
+    image = fileio.read_image(tmp_path / "images" / "0000.ppm")
+    pos, col = crf._pixel_features(np.tile(image, (-(-shape[0] // 64), -(-shape[1] // 64), 1))[: shape[0], : shape[1]])
     for params in (PipelineConfig(corpus_dir="c", out_dir="o").crf_params(), CrfParams()):
         yield np.hstack([pos * min(1.0 / params.theta_alpha, crf._MAX_FEATURE_STEP),
                          col * min(1.0 / params.theta_beta, crf._MAX_FEATURE_STEP)])
@@ -348,7 +350,10 @@ def _corpus_features(tmp_path):
 
 def test_lattice_matches_its_definition(tmp_path):
     rng = np.random.default_rng(7)
-    for features in [rng.normal(scale=3.0, size=(500, 5)), *_corpus_features(tmp_path)]:
+    # At 80x112 the points and the vertices span several of the lattice's
+    # blocks, and neither count is a multiple of a block.
+    tiled = next(_corpus_features(tmp_path, (80, 112)))
+    for features in [rng.normal(scale=3.0, size=(500, 5)), *_corpus_features(tmp_path), tiled]:
         m, index, tables = _lattice_reference(features)
         lattice = crf._Lattice(features)
         assert lattice.size == m
@@ -360,11 +365,35 @@ def test_lattice_matches_its_definition(tmp_path):
             assert lattice.blur(values).tobytes() == _reference_blur(index, weights, tables, values).tobytes()
 
 
+def test_held_lattice_stays_within_240_bytes_per_pixel(tmp_path):
+    # index, weights and neighbours live as long as the lattice, through every
+    # mean-field iteration. With int64 tables they held about 404 B/px.
+    for features in _corpus_features(tmp_path):
+        lattice = crf._Lattice(features)
+        held = sum(np.asarray(a).nbytes for a in (lattice.index, lattice.weights, lattice.neighbours))
+        assert held <= 240 * features.shape[0], held / features.shape[0]
+
+
+def test_lattice_refuses_vertex_indices_past_int32_before_allocating():
+    # 2 n (d+1) (d+2) >= 2^31 at the smallest such n; the features are a
+    # broadcast view, so the input itself takes no memory either.
+    n = -(-(2**31) // (2 * 6 * 7))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"may not fit 32 bits: {n} points are too many"):
+            crf._Lattice(np.broadcast_to(np.zeros(5), (n, 5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # mean_field's tracemalloc peak on image 0000 of the seed-0 64^2 corpus with
-# its ground-truth unary: the lattice before its one-gather blur peaked at
-# 3,965,836 bytes (pipeline setting) and 2,955,278 (CrfParams()), and the
-# bounds are 5% above those.
-_PEAK_BYTES = {"pipeline": 4_164_128, "paper": 3_103_042}
+# its ground-truth unary, tiled 1x1 or 2x2. At 64^2 the blocked lattice with
+# int32 tables peaked at 2,492,225 bytes (pipeline setting) and 2,106,960
+# (CrfParams()), and the bounds are 5% above those; at 128^2 the bound is 600
+# bytes per pixel.
+_PEAK_BYTES = {("pipeline", 1): 2_616_836, ("paper", 1): 2_212_308, ("pipeline", 2): 600 * 128 * 128}
 
 
 def test_mean_field_peak_memory_is_bounded(tmp_path):
@@ -372,15 +401,17 @@ def test_mean_field_peak_memory_is_bounded(tmp_path):
     image = fileio.read_image(tmp_path / "images" / "0000.ppm")
     gt = fileio.read_label_map(tmp_path / "gt" / "0000.pgm", 3)
     unary = (np.arange(4)[:, None, None] == gt).astype(np.float64)
-    for name, params in (("pipeline", PipelineConfig(corpus_dir="c", out_dir="o").crf_params()), ("paper", CrfParams())):
-        mean_field(unary, image, params)  # one-off allocations (lazy imports, caches) stay out of the count
+    settings = {"pipeline": PipelineConfig(corpus_dir="c", out_dir="o").crf_params(), "paper": CrfParams()}
+    for (name, tiles), bound in _PEAK_BYTES.items():
+        tiled_unary, tiled_image = np.tile(unary, (1, tiles, tiles)), np.tile(image, (tiles, tiles, 1))
+        mean_field(tiled_unary, tiled_image, settings[name])  # one-off allocations (lazy imports, caches) stay out of the count
         tracemalloc.start()
         try:
-            mean_field(unary, image, params)
+            mean_field(tiled_unary, tiled_image, settings[name])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _PEAK_BYTES[name], (name, peak)
+        assert peak <= bound, (name, tiles, peak)
 
 
 def _is_subnormal(q):
