@@ -46,10 +46,10 @@ _MAX_FEATURE_STEP = 8.0
 # tenth of the dense product's time and blocks of 128 four times as long as 64.
 _SPATIAL_BLOCK = 64
 # Points per block of the lattice's simplices and of its slice, and float64
-# values per block of each blur direction's gathers (4096 vertices at L = 4):
-# blocks bound the temporaries, and smaller ones measured slower.
+# values per block of each blur direction (8192 vertices at L = 4): blocks
+# bound the temporaries, and smaller ones measured slower.
 _LATTICE_POINTS = 2048
-_BLUR_VALUES = 1 << 14
+_BLUR_VALUES = 1 << 15
 # The ranges of the kernel weights and bandwidths, inside which float64 holds
 # the kernels' arithmetic. Past them 2 theta^2 underflows to 0 or overflows, or
 # a weighted message sum overflows, and the marginals turn NaN. Past the
@@ -322,26 +322,27 @@ class _Lattice:
             spread *= weights
             lat[:m, l] = np.bincount(flat, weights=spread, minlength=m)
         del flat, spread  # each large buffer is freed before the next is made
-        # 0.5 x + 0.25 (next + previous) per direction, into a second buffer,
-        # one block of vertices at a time. Every index is in [0, m], so "clip"
-        # clips none; unlike "raise", it fills ``out`` as is.
+        # (next + previous) / 4 + x / 2 per direction, into a second buffer,
+        # one block of vertices at a time: the next values are gathered into
+        # the block itself, the previous ones into a block-sized buffer. Every
+        # index is in [0, m], so "clip" clips none; unlike "raise", it fills
+        # ``out`` as is.
         out = np.empty((m + 1, L))
         out[m] = 0.0
         size = _BLUR_VALUES // L
-        gathered = np.empty(2 * min(m, size) * L)
+        gathered = np.empty(min(m, size) * L)
         for both in self.neighbours:
-            both = both.reshape(2, m)
             for s in range(0, m, size):
                 rows = slice(s, min(m, s + size))
-                pair = gathered[: 2 * L * (rows.stop - s)].reshape(2, -1, L)
-                lat.take(both[:, rows], axis=0, out=pair, mode="clip")
-                ahead, behind = pair
-                ahead += behind
-                ahead *= 0.25
-                np.multiply(lat[rows], 0.5, out=out[rows])
-                out[rows] += ahead
+                block, behind = out[rows], gathered[: L * (rows.stop - s)].reshape(-1, L)
+                lat.take(both[rows], axis=0, out=block, mode="clip")
+                lat.take(both[m + s : m + rows.stop], axis=0, out=behind, mode="clip")
+                block += behind
+                block *= 0.25
+                np.multiply(lat[rows], 0.5, out=behind)
+                block += behind
             lat, out = out, lat
-        del out, gathered, pair, ahead, behind
+        del out, gathered, block, behind
         sliced = np.empty((n, L))
         for s in range(0, n, _LATTICE_POINTS):  # each point's d+1 vertex values, weighted
             rows = slice(s, s + _LATTICE_POINTS)
