@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -75,9 +77,10 @@ class ClassifierHead:
 
 
 def init_head(num_classes: int, dim: int, *, seed: int) -> ClassifierHead:
-    """Gaussian init (zero mean, std 1e-2) of an (L+1, C) dot-product head."""
-    rng = np.random.default_rng(seed)
-    return ClassifierHead(weights=rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)))
+    """Gaussian init (zero mean, std 1e-2) of an (L+1, C) dot-product head,
+    drawn from the stream keyed ``(seed, INIT)``."""
+    normals = keyed_normals((num_classes + 1) * dim, seed, INIT)
+    return ClassifierHead(weights=1e-2 * normals.reshape(num_classes + 1, dim))
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -191,6 +194,77 @@ def sgd_step(w: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float) -
     return w + velocity, velocity
 
 
+# ---------------------------------------------------------------------------
+# keyed draws: both heads' init and epoch order
+# ---------------------------------------------------------------------------
+# Draw i of the stream keyed (k_1, ..., k_m) is SplitMix64's output
+# finalise(start + (i + 1) * GOLDEN), where start chains the finaliser over
+# the key parts (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
+# Generators", OOPSLA 2014). Unlike numpy.random, it loads nothing (numpy.random
+# maps hashlib and OpenSSL's libcrypto, about 6 MB, into every process that
+# loads it), and its bits follow no numpy version's stream policy.
+_GOLDEN = 0x9E3779B97F4A7C15
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # the finaliser's multipliers
+_MASK64 = (1 << 64) - 1
+# The key part after the seed that tells a head's init stream from its
+# per-epoch order streams.
+INIT, ORDER = 0, 1
+
+
+def _finalise(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, in place on a uint64 array, whose products wrap."""
+    z ^= z >> 30
+    z *= _M1
+    z ^= z >> 27
+    z *= _M2
+    z ^= z >> 31
+    return z
+
+
+def _mix(z: int) -> int:
+    """:func:`_finalise` of a Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def keyed_bits(n: int, *key: int) -> np.ndarray:
+    """Draws 0..n-1, as uint64, of the stream keyed by the ints ``key``, each
+    in [0, 2**64). The key is mixed by a chain of bijections, so keys of one
+    length start distinct streams, and in Python ints, so no numpy scalar
+    overflow can trip :func:`divergence_guard`."""
+    start = 0
+    for part in key:
+        part = operator.index(part)
+        if not 0 <= part <= _MASK64:
+            raise ValueError(f"key parts must lie in [0, 2**64), got {part}")
+        start = _mix((start + _GOLDEN + part) & _MASK64)
+    counters = np.arange(1, n + 1, dtype=np.uint64)
+    counters *= _GOLDEN
+    counters += start
+    return _finalise(counters)
+
+
+def uniforms(bits: np.ndarray) -> np.ndarray:
+    """The uint64 draws ``bits`` as floats ((bits >> 12) + 0.5) * 2**-52, in the
+    open interval (0, 1): with 52 bits the half-step sum is exact."""
+    return ((bits >> 12) + 0.5) * 2.0**-52
+
+
+def keyed_normals(n: int, *key: int) -> np.ndarray:
+    """n standard normal draws of the stream keyed by ``key``: Box–Muller's
+    cosine branch on consecutive pairs of :func:`uniforms`, through :mod:`math`
+    so that no SIMD dispatch can change their bits."""
+    u = uniforms(keyed_bits(2 * n, *key)).tolist()
+    return np.array([math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b) for a, b in zip(u[::2], u[1::2])])
+
+
+def epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
+    """The order in which epoch ``epoch`` visits n samples: a permutation of
+    range(n), from the stream keyed ``(seed, ORDER, epoch)``."""
+    return np.argsort(keyed_bits(n, seed, ORDER, epoch), kind="stable")
+
+
 def sgd_train(
     head: ClassifierHead,
     x: np.ndarray,
@@ -210,13 +284,13 @@ def sgd_train(
     weights, and the trained head is validated once, at the end. An overflow
     while training is a ValueError (:func:`divergence_guard`). The input
     head is left untouched; a trained copy and the per-epoch mean losses are
-    returned. Fixed seed implies an identical result on every run.
+    returned. Each epoch visits the samples in :func:`epoch_order`, so a
+    fixed seed implies an identical result on every run.
     """
     if head.mode != "dot":
         raise ValueError(f"sgd_train trains dot heads, got a {head.mode!r} head; use nal.train_seg_head")
     x, t = _check_batch(head, x, targets)
     lr = check_lr(lr)
-    rng = np.random.default_rng(seed)
     w = head.weights.copy()
     velocity = np.zeros_like(w)
     losses = []
@@ -224,7 +298,7 @@ def sgd_train(
     with divergence_guard():
         for epoch in range(epochs):
             rate = lr if epoch < LR_DROP_EPOCH else lr / 10.0
-            order = rng.permutation(n)
+            order = epoch_order(n, seed, epoch)
             epoch_loss = 0.0
             for start in range(0, n, BATCH_SIZE):
                 idx = order[start : start + BATCH_SIZE]

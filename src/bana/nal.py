@@ -28,6 +28,8 @@ from .clshead import (
     check_lr,
     cosine_weights,
     divergence_guard,
+    epoch_order,
+    init_head,
     sgd_step,
     softmax,
 )
@@ -203,7 +205,10 @@ def train_seg_head(
     Confidence weights are recomputed from the current weights at every
     step. ``confidence_hook(epoch, index, sigma)``, when given, receives the
     confidence map of each image with disputed pixels once per epoch.
-    Deterministic for a fixed seed; returns the head and per-epoch losses.
+    The init is :func:`~bana.clshead.init_head`'s, its rows scaled to unit
+    norm, and each epoch visits the images in
+    :func:`~bana.clshead.epoch_order`, so the result is deterministic for a
+    fixed seed. Returns the head and per-epoch losses.
     """
     if not samples:
         raise ValueError("need at least one training image")
@@ -213,8 +218,7 @@ def train_seg_head(
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     lr = check_lr(lr)
     prepared = [prepare_seg_sample(features, fused) for features, fused in samples]
-    rng = np.random.default_rng(seed)
-    w = unit_norm(rng.normal(0.0, 1e-2, size=(num_classes + 1, prepared[0].dim)), axis=1)
+    w = unit_norm(init_head(num_classes, prepared[0].dim, seed=seed).weights, axis=1)
     # One head for the whole run: each step replaces its rows rather than
     # building and re-validating a new head.
     head = ClassifierHead(weights=w, mode="cosine")
@@ -228,9 +232,8 @@ def train_seg_head(
     n = len(prepared)
     with divergence_guard():
         for epoch in range(epochs):
-            order = rng.permutation(n)
             epoch_loss = 0.0
-            for i in order:
+            for i in epoch_order(n, seed, epoch):
                 report, grad = nal_loss_and_grad(prepared[i], head, gamma=gamma, lam=lam)
                 if confidence_hook is not None and report.confidence is not None:
                     confidence_hook(epoch, int(i), report.confidence)

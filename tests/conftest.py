@@ -13,6 +13,8 @@ from bana.clshead import (
     ce_kernel,
     ce_loss_and_grad,
     cosine_weights,
+    epoch_order,
+    init_head,
     sgd_step,
 )
 from bana.core import as_feature_map, unit_norm
@@ -113,15 +115,14 @@ def _stepwise_nal_loss_and_grad(features, head, fused, gamma, lam):
 def stepwise_train_seg_head(samples, num_classes, *, gamma, lam, epochs, lr, seed, confidence_hook=None):
     """``nal.train_seg_head`` step by step over (features, fused) pairs, each
     step building and validating a new head: the oracle for the prepared loop."""
-    rng = np.random.default_rng(seed)
     dim = as_feature_map(samples[0][0]).shape[0]
-    w = unit_norm(rng.normal(0.0, 1e-2, size=(num_classes + 1, dim)), axis=1)
+    w = unit_norm(init_head(num_classes, dim, seed=seed).weights, axis=1)
     head = ClassifierHead(weights=w, mode="cosine")
     velocity = np.zeros_like(head.weights)
     losses = []
     for epoch in range(epochs):
         epoch_loss = 0.0
-        for i in rng.permutation(len(samples)):
+        for i in epoch_order(len(samples), seed, epoch):
             features, fused = samples[i]
             total, sigma, grad = _stepwise_nal_loss_and_grad(features, head, fused, gamma, lam)
             if confidence_hook is not None and sigma is not None:
@@ -138,14 +139,13 @@ def stepwise_sgd_train(head, x, targets, *, epochs, lr, seed):
     head built per step: the oracle for the prepared loop."""
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(targets, dtype=np.intp)
-    rng = np.random.default_rng(seed)
     w = head.weights.copy()
     velocity = np.zeros_like(w)
     losses = []
     n = x.shape[0]
     for epoch in range(epochs):
         rate = lr if epoch < LR_DROP_EPOCH else lr / 10.0
-        order = rng.permutation(n)
+        order = epoch_order(n, seed, epoch)
         epoch_loss = 0.0
         cur = replace(head, weights=w)
         for start in range(0, n, BATCH_SIZE):

@@ -13,16 +13,22 @@ from conftest import (
 
 from bana import clshead
 from bana.clshead import (
+    INIT,
     LR_DROP_EPOCH,
+    ORDER,
     ClassifierHead,
     cam,
     ce_loss_and_grad,
+    epoch_order,
     init_head,
+    keyed_bits,
+    keyed_normals,
     load_head,
     save_head,
     sgd_step,
     sgd_train,
     softmax,
+    uniforms,
 )
 from bana.nal import predict_probabilities
 
@@ -221,6 +227,70 @@ class TestSgdTrain:
         head = init_head(40, 400, seed=0)
         assert abs(head.weights.mean()) < 1e-3
         assert head.weights.std() == pytest.approx(1e-2, rel=0.05)
+
+
+class TestKeyedDraws:
+    """The generator of both heads' init and epoch order: SplitMix64 streams keyed
+    by (seed, purpose, counters...)."""
+
+    def test_finaliser_is_splitmix64(self):
+        # SplitMix64 from state 0 first outputs 0xE220A8397B1DCDAF; the key mix
+        # (Python ints) and the draws (uint64 arrays) must agree with it.
+        assert clshead._mix(clshead._GOLDEN) == 0xE220A8397B1DCDAF
+        assert clshead._finalise(np.array([clshead._GOLDEN], dtype=np.uint64)).tolist() == [0xE220A8397B1DCDAF]
+
+    def test_same_key_same_bytes(self):
+        assert keyed_bits(100, 3, ORDER, 2).tobytes() == keyed_bits(100, 3, ORDER, 2).tobytes()
+        assert keyed_normals(50, 3, INIT).tobytes() == keyed_normals(50, 3, INIT).tobytes()
+        assert keyed_bits(5, np.int64(3), np.uint8(1)).tobytes() == keyed_bits(5, 3, 1).tobytes()
+        # Draws are counter-based: a shorter stream is a prefix of a longer one.
+        assert keyed_bits(7, 3, INIT).tobytes() == keyed_bits(100, 3, INIT)[:7].tobytes()
+
+    def test_distinct_keys_give_distinct_streams(self):
+        keys = [(seed, purpose, epoch)
+                for seed in (0, 1, 2**64 - 1) for purpose in (INIT, ORDER) for epoch in (0, 1, 7)]
+        keys += [(0,), (0, INIT), (1, INIT)]
+        streams = {keyed_bits(16, *key).tobytes() for key in keys}
+        assert len(streams) == len(keys)
+        assert not np.array_equal(init_head(2, 3, seed=0).weights, init_head(2, 3, seed=1).weights)
+        orders = {tuple(epoch_order(50, seed, epoch)) for seed in range(3) for epoch in range(3)}
+        assert len(orders) == 9
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 33, 1000])
+    def test_each_order_is_a_permutation(self, n):
+        order = epoch_order(n, 5, 3)
+        assert order.dtype == np.intp and np.array_equal(np.sort(order), np.arange(n))
+
+    def test_uniforms_lie_in_the_open_unit_interval(self):
+        extremes = uniforms(np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert 0.0 < extremes[0] and extremes[1] < 1.0
+        u = uniforms(keyed_bits(10**5, 9, ORDER, 0))
+        assert u.dtype == np.float64 and 0.0 < u.min() and u.max() < 1.0
+
+    def test_normal_sample_statistics(self):
+        z = keyed_normals(10**5, 11, INIT)
+        # Standard errors: 0.0032 for the mean, 0.0022 for the std.
+        assert abs(z.mean()) < 0.015 and abs(z.std() - 1.0) < 0.01
+
+    def test_draws_are_pinned(self):
+        # Fails if the stream drifts, whether or not any pipeline artifact moves.
+        assert [w.hex() for w in init_head(1, 2, seed=0).weights.ravel()] == [
+            "0x1.404d91e8032e7p-6", "0x1.ad42b9a62d510p-7", "-0x1.dd1757654f7eap-9", "0x1.422827f00d0e8p-9"]
+        assert [u.hex() for u in uniforms(keyed_bits(2, 7, ORDER, 3))] == [
+            "0x1.6fbd818390571p-1", "0x1.12a4eca18106ap-2"]
+        assert epoch_order(10, 0, 0).tolist() == [8, 5, 6, 3, 4, 7, 9, 0, 1, 2]
+
+    def test_key_mix_never_raises_a_numpy_overflow(self):
+        # A numpy scalar key part is mixed as a Python int, so divergence_guard's
+        # errstate cannot turn its wraparound into a training error.
+        with np.errstate(all="raise"):
+            assert keyed_bits(3, np.uint64(2**64 - 1), ORDER, 2**64 - 1).tolist() == \
+                keyed_bits(3, 2**64 - 1, ORDER, 2**64 - 1).tolist()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_key_part_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"key parts must lie in \[0, 2\*\*64\)"):
+            init_head(1, 2, seed=seed)
 
 
 class TestCam:

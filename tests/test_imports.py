@@ -1,7 +1,9 @@
-"""Source hygiene: each module of the package uses every name it imports, and
-no bana path loads numpy's masked-array package."""
+"""Source hygiene: each module of the package uses every name it imports, no
+bana path loads numpy's masked-array package, and only synthesis and the noise
+experiment load numpy.random."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -87,3 +89,80 @@ def test_no_command_loads_numpy_ma(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "numpy.ma loaded: False"
+
+
+# The same commands but synth, plus train-head: none of them may load numpy.random,
+# whose import of secrets loads hashlib and maps OpenSSL's libcrypto (about 6 MB
+# of peak RSS that only a new corpus needs). The corpus comes from another
+# process, since synthesis draws from numpy.random.
+_RUN_PATH = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from bana import fileio
+from bana.cli import main
+
+tmp = Path(sys.argv[1])
+corpus, out = tmp / "corpus", tmp / "out"
+
+def bana(*argv):
+    assert main([str(a) for a in argv]) == 0, argv
+
+(tmp / "cfg.json").write_text(json.dumps({"corpus_dir": str(corpus), "out_dir": str(out), "head_epochs": 30,
+    "seg_epochs": 2, "dump_attention": True, "dump_confidence_every": 1}))
+bana("run", "--config", tmp / "cfg.json", "--jobs", 1)
+bana("train-head", "--features-dir", corpus / "features", "--boxes-dir", corpus / "boxes", "--out", tmp / "head.btf",
+     "--epochs", 5)
+bana("labels", "--features", corpus / "features/0000.btf", "--boxes", corpus / "boxes/0000.json",
+     "--image", corpus / "images/0000.ppm", "--head", tmp / "head.btf",
+     "--out-crf", tmp / "crf.pgm", "--out-ret", tmp / "ret.pgm", "--out-fused", tmp / "fused.pgm")
+fileio.write_tensor(tmp / "unary.btf", np.linspace(0.0, 1.0, 4 * 32 * 32, dtype=np.float32).reshape(4, 32, 32))
+bana("crf", "--unary", tmp / "unary.btf", "--image", corpus / "images/0000.ppm", "--out", tmp / "y.pgm")
+bana("nal-train", "--features-dir", corpus / "features", "--labels-crf-dir", out / "labels/crf",
+     "--labels-ret-dir", out / "labels/ret", "--out-head", tmp / "seg.btf", "--epochs", 2)
+bana("eval", "--pred-dir", out / "preds", "--ref-dir", corpus / "gt", "--classes", 3)
+print(json.dumps(sorted(name for name in ("numpy.random", "secrets", "hashlib") if name in sys.modules)))
+"""
+
+
+def test_only_synthesis_loads_numpy_random(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-m", "bana.cli", "synth", "--out", str(tmp_path / "corpus"), "--images", "2",
+                    "--size", "32"], env=env, check=True, capture_output=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _RUN_PATH, str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+# The functions that may use numpy.random, per module; None allows the whole
+# module. Synthesis and the noise experiment draw fixtures and injected noise;
+# training draws from clshead's keyed streams.
+_NUMPY_RANDOM_ALLOWED = {
+    "synth.py": None,
+    "pipeline.py": {"inject_disagreement_noise", "noise_robustness_experiment"},
+}
+
+
+def _names_numpy_random(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "np" and node.attr == "random"
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.random") or module == "numpy" and any(a.name == "random" for a in node.names)
+    return False
+
+
+def _numpy_random_uses(tree: ast.Module) -> list[str]:
+    """The top-level definitions of a module that name np.random or import numpy.random."""
+    return sorted({getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+                   if _names_numpy_random(node)})
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_only_synthesis_and_noise_injection_use_numpy_random(path):
+    allowed = _NUMPY_RANDOM_ALLOWED.get(path.name, set())
+    uses = _numpy_random_uses(ast.parse(path.read_text()))
+    assert allowed is None or set(uses) <= allowed, uses
