@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BBox, BoxSet, as_feature_map, box_interior_mask, unit_norm
+from .core import BBox, BoxSet, as_attention_map, as_feature_map, box_interior_mask, unit_norm
 
 # Below this total weight the pooled feature falls back to the plain mean.
 _WEIGHT_EPS = 1e-12
@@ -82,14 +82,15 @@ def attention_map(features: np.ndarray, queries: np.ndarray, boxes: BoxSet) -> n
 
 
 def bap_pool(features: np.ndarray, attention: np.ndarray, box: BBox) -> np.ndarray:
-    """The (C,) weighted average of the box features with foreground weights 1 - A.
+    """The (C,) weighted average of the box features with foreground weights 1 - A,
+    for an attention map A in [0, 1] on the feature grid.
 
     If the total weight inside the box is (numerically) zero -- every pixel
     judged background -- the box still needs a descriptor, so the plain
     average over the box is returned.
     """
     f = as_feature_map(features)
-    a = np.asarray(attention, dtype=np.float64)
+    a = as_attention_map(attention)
     if a.shape != f.shape[1:]:
         raise ValueError(f"attention shape {a.shape} does not match feature grid {f.shape[1:]}")
     if box.xmax > f.shape[2] or box.ymax > f.shape[1]:

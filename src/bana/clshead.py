@@ -211,21 +211,17 @@ _MASK64 = (1 << 64) - 1
 INIT, ORDER = 0, 1
 
 
-def _finalise(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finaliser, in place on a uint64 array, whose products wrap."""
+def _finalise(z: int | np.ndarray) -> int | np.ndarray:
+    """SplitMix64's finaliser of a Python int in [0, 2**64), or in place of a
+    uint64 array, whose products wrap so that the masks leave it as it is."""
     z ^= z >> 30
     z *= _M1
+    z &= _MASK64
     z ^= z >> 27
     z *= _M2
+    z &= _MASK64
     z ^= z >> 31
     return z
-
-
-def _mix(z: int) -> int:
-    """:func:`_finalise` of a Python int in [0, 2**64)."""
-    z = ((z ^ (z >> 30)) * _M1) & _MASK64
-    z = ((z ^ (z >> 27)) * _M2) & _MASK64
-    return z ^ (z >> 31)
 
 
 def keyed_bits(n: int, *key: int) -> np.ndarray:
@@ -238,7 +234,7 @@ def keyed_bits(n: int, *key: int) -> np.ndarray:
         part = operator.index(part)
         if not 0 <= part <= _MASK64:
             raise ValueError(f"key parts must lie in [0, 2**64), got {part}")
-        start = _mix((start + _GOLDEN + part) & _MASK64)
+        start = _finalise((start + _GOLDEN + part) & _MASK64)
     counters = np.arange(1, n + 1, dtype=np.uint64)
     counters *= _GOLDEN
     counters += start

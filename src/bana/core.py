@@ -142,6 +142,16 @@ def as_feature_map(arr: np.ndarray) -> np.ndarray:
     return a
 
 
+def as_attention_map(arr: np.ndarray) -> np.ndarray:
+    """Validate an (H, W) attention map with values in [0, 1] and return it as float64."""
+    a = np.asarray(arr, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"attention must be (h, w), got {a.shape}")
+    if not (a.min() >= 0.0 and a.max() <= 1.0):  # written so that NaN fails too
+        raise ValueError("attention must lie in [0, 1]")
+    return a
+
+
 def unit_norm(x: np.ndarray, axis: int) -> np.ndarray:
     """``x`` scaled to unit L2 norm along ``axis``; zero-norm slices stay zero.
 

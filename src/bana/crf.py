@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_CLASSES, BoxSet, bilinear_resize, box_interior_mask
+from .core import MAX_CLASSES, BoxSet, as_attention_map, bilinear_resize, box_interior_mask
 
 # Pixels whose exact Gaussian sums calibrate the bilateral lattice: a fixed
 # count, so the calibration costs O(HW) at any image size.
@@ -106,11 +106,7 @@ def build_unary(
     attention map: thresholded at ``tau`` when 0 < tau <= 1 (label mode),
     or used raw when ``tau`` is 0.
     """
-    a = np.asarray(attention, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"attention must be (h, w), got {a.shape}")
-    if not (a.min() >= 0.0 and a.max() <= 1.0):  # written so that NaN fails too
-        raise ValueError("attention must lie in [0, 1]")
+    a = as_attention_map(attention)
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
     h, w = boxes.image_height, boxes.image_width

@@ -125,7 +125,7 @@ def confidence_map(correlations: np.ndarray, y_crf: np.ndarray, gamma: float) ->
         raise ValueError("confidence is undefined for IGNORE labels")
     if y.shape != d.shape[1:]:
         raise ValueError(f"labels {y.shape} do not match correlation maps {d.shape[1:]}")
-    if gamma < 1.0:
+    if not gamma >= 1.0:  # written so that NaN fails too
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     top = d.max(axis=0)
     own = d.reshape(d.shape[0], -1)[y.ravel(), np.arange(y.size)].reshape(y.shape)  # d[y[p], p] per pixel p

@@ -9,12 +9,14 @@ Stages (each resumable on its own, reading earlier artifacts from disk):
    from class prototypes, and fuse them (disagreements become IGNORE).
 3. ``nal-train``: train a cosine segmentation head on the fused labels with
    the noise-aware loss.
-4. ``eval``: score pseudo labels and segmentation predictions against
-   ground truth (when the corpus has one) into metrics.json.
+4. ``eval``: score pseudo labels and segmentation predictions against ground
+   truth (when the corpus has one) into metrics.json, reading each map once.
 
-Each stage has one implementation (``train_head``, ``generate_labels_for_image``,
-``nal_train``, ``label_confusion``) taking explicit inputs; the ``run_*_stage``
-functions feed it from a config and the ``bana`` subcommands from their flags.
+Stages 1-3 each have one implementation (``train_head``,
+``generate_labels_for_image``, ``nal_train``) taking explicit inputs; the
+``run_*_stage`` functions feed it from a config and the ``bana`` subcommands
+from their flags. Stage 4 is ``run_eval_stage``; ``bana eval`` scores one
+directory of label maps against another with ``label_confusion``.
 Every stage is deterministic under a fixed config: rerunning produces
 byte-identical artifacts. Per-image work is independent, so the labels
 stage can fan out over a worker pool without changing any output. A stage
@@ -426,24 +428,23 @@ def run_nal_train_stage(cfg: PipelineConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def label_confusion(pred_dir: Path, ref_dir: Path, ids: list[str], num_classes: int, *,
-                    claimed_only: bool = False) -> np.ndarray:
-    """Stage 4's scoring: the confusion matrix of the label maps in
-    ``pred_dir`` against those in ``ref_dir``, summed over ``ids``. With
-    ``claimed_only`` the predictions' IGNORE pixels are left out as well."""
+def _confusion(pred_path: Path, pred: np.ndarray, ref_path: Path, ref: np.ndarray, num_classes: int) -> np.ndarray:
+    """:func:`bana.metrics.confusion` of label maps read from the two paths; an error names both files."""
+    try:
+        return metrics.confusion(pred, ref, num_classes)
+    except ValueError as e:  # shapes that differ, or IGNORE in the prediction
+        raise ValueError(f"{pred_path} against {ref_path}: {e}") from None
+
+
+def label_confusion(pred_dir: Path, ref_dir: Path, ids: list[str], num_classes: int) -> np.ndarray:
+    """``bana eval``'s scoring: the confusion matrix of the label maps in
+    ``pred_dir`` against those in ``ref_dir``, summed over ``ids``."""
     n = num_classes + 1
     cm = np.zeros((n, n), dtype=np.int64)
     for image_id in ids:
         pred_path, ref_path = pred_dir / f"{image_id}.pgm", ref_dir / f"{image_id}.pgm"
         pred = fileio.read_label_map(pred_path, num_classes)
-        ref = fileio.read_label_map(ref_path, num_classes)
-        if claimed_only:
-            ref = np.where(pred == IGNORE, IGNORE, ref)
-            pred = np.where(pred == IGNORE, 0, pred)
-        try:
-            cm += metrics.confusion(pred, ref, num_classes)
-        except ValueError as e:  # shapes that differ, or IGNORE in the prediction
-            raise ValueError(f"{pred_path} against {ref_path}: {e}") from None
+        cm += _confusion(pred_path, pred, ref_path, fileio.read_label_map(ref_path, num_classes), num_classes)
     return cm
 
 
@@ -453,40 +454,44 @@ def run_eval_stage(cfg: PipelineConfig) -> Path:
     num_classes = _corpus_num_classes(cfg, corpus, ids)
     gt_dir = _require(corpus / "gt", "eval", "ground-truth directory")
 
-    labels_dir = out / "labels"
+    labels_dir, seg_head_path = out / "labels", out / "seg" / "seg_head.btf"
     have_labels = (labels_dir / "crf").exists()
-    seg_head_path = out / "seg" / "seg_head.btf"
-    have_seg = seg_head_path.exists()
-    if not have_labels and not have_seg:
+    seg_head = clshead.load_head(seg_head_path) if seg_head_path.exists() else None
+    if not have_labels and seg_head is None:
         raise PipelineError("stage 'eval': nothing to evaluate; run the labels or nal-train stage first")
+
+    cms, preds = dict.fromkeys(("crf", "ret", "fused_claimed", "segmentation"), 0), []
     for image_id in ids:
-        _require(gt_dir / f"{image_id}.pgm", "eval", "ground-truth map")
+        gt_path = _require(gt_dir / f"{image_id}.pgm", "eval", "ground-truth map")
+        gt = fileio.read_label_map(gt_path, num_classes)
+        if have_labels:
+            maps = []
+            for kind, what in (("crf", "CRF labels"), ("ret", "retrieval labels")):
+                path = _require(labels_dir / kind / f"{image_id}.pgm", "eval", what)
+                maps.append(fileio.read_label_map(path, num_classes))
+                cms[kind] += _confusion(path, maps[-1], gt_path, gt, num_classes)
+            # The labels stage's fused map, scored where both it and the ground truth label.
+            fused = fuse_labels(*maps).fused
+            claimed = fused != IGNORE
+            cms["fused_claimed"] += metrics.confusion(np.where(claimed, fused, 0), np.where(claimed, gt, IGNORE),
+                                                      num_classes)
+        if seg_head is not None:
+            f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
+            try:  # a head of the wrong kind or dim, or one that scores more classes than the corpus has
+                preds.append(nal.predict_labels(f, seg_head, *gt.shape))
+                cms["segmentation"] += metrics.confusion(preds[-1], gt, num_classes)
+            except ValueError as e:
+                raise ValueError(f"{seg_head_path} on image {image_id}: {e}") from None
 
     report: dict = {}
     if have_labels:
         # The CRF map labels every pixel, so its matrix counts every pixel the
         # ground truth labels; the fused one only those both maps label.
-        crf = label_confusion(labels_dir / "crf", gt_dir, ids, num_classes)
-        fused = label_confusion(labels_dir / "fused", gt_dir, ids, num_classes, claimed_only=True)
-        total = int(crf.sum())
-        report["pseudo_labels"] = {
-            "crf": metrics.score(crf),
-            "ret": metrics.score(label_confusion(labels_dir / "ret", gt_dir, ids, num_classes)),
-            "fused_claimed": metrics.score(fused),
-            "fused_coverage": 1.0 - (total - int(fused.sum())) / total,
-        }
-    if have_seg:
-        seg_head = clshead.load_head(seg_head_path)
-        preds, cm = [], 0
-        for image_id in ids:
-            f = fileio.read_tensor(corpus / "features" / f"{image_id}.btf", expected_rank=3)
-            gt = fileio.read_label_map(gt_dir / f"{image_id}.pgm", num_classes)
-            preds.append(nal.predict_labels(f, seg_head, *gt.shape))
-            try:
-                cm += metrics.confusion(preds[-1], gt, num_classes)
-            except ValueError as e:  # a head that scores more classes than the corpus has
-                raise ValueError(f"{seg_head_path} on image {image_id}: {e}") from None
-        report["segmentation"] = metrics.score(cm)
+        total = int(cms["crf"].sum())
+        report["pseudo_labels"] = {name: metrics.score(cms[name]) for name in ("crf", "ret", "fused_claimed")}
+        report["pseudo_labels"]["fused_coverage"] = 1.0 - (total - int(cms["fused_claimed"].sum())) / total
+    if seg_head is not None:
+        report["segmentation"] = metrics.score(cms["segmentation"])
         for image_id, pred in zip(ids, preds):  # scored first, so a failed score writes no prediction
             fileio.write_label_map(out / "preds" / f"{image_id}.pgm", pred)
     path = out / "metrics.json"
@@ -497,16 +502,8 @@ def run_eval_stage(cfg: PipelineConfig) -> Path:
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run the configured stages in order; returns artifact paths."""
     fileio.write_text(Path(cfg.out_dir) / "config.json", cfg.to_json())
-    artifacts: dict = {}
-    runners = {
-        "train-head": run_train_head_stage,
-        "labels": run_labels_stage,
-        "nal-train": run_nal_train_stage,
-        "eval": run_eval_stage,
-    }
-    for stage in cfg.stages:
-        artifacts[stage] = str(runners[stage](cfg))
-    return artifacts
+    runners = dict(zip(STAGES, (run_train_head_stage, run_labels_stage, run_nal_train_stage, run_eval_stage)))
+    return {stage: str(runners[stage](cfg)) for stage in cfg.stages}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Shared test helpers: the finite-difference, dense-CRF and step-by-step
-training oracles and tiny instance builders."""
+training oracles, tiny instance builders and the ``count_reads`` fixture."""
 
+import collections
+import functools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from bana import crf
+from bana import crf, fileio
 from bana.clshead import (
     BATCH_SIZE,
     LR_DROP_EPOCH,
@@ -23,6 +27,30 @@ from bana.pseudolabel import fuse_labels
 
 # Largest kernel matrix (entries) the dense CRF oracle will allocate.
 DENSE_LIMIT = 25_000_000
+
+
+@pytest.fixture
+def count_reads(monkeypatch):
+    """A Counter of the files every ``fileio.read_*`` reader reads from now on,
+    keyed by (directory name, suffix). A read inside another reader (the JSON
+    that ``read_boxes`` parses) is not counted again."""
+    counts, depth = collections.Counter(), [0]
+
+    def counted(read):
+        @functools.wraps(read)
+        def wrapper(path, *args, **kwargs):
+            if depth[0] == 0:
+                counts[Path(path).parent.name, Path(path).suffix] += 1
+            depth[0] += 1
+            try:
+                return read(path, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in [name for name in vars(fileio) if name.startswith("read_")]:
+        monkeypatch.setattr(fileio, name, counted(getattr(fileio, name)))
+    return counts
 
 
 def finite_difference_grad(loss_fn, weights: np.ndarray, h: float = 1e-3) -> np.ndarray:

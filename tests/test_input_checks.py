@@ -34,6 +34,10 @@ def _boxes_file(tmp, records):
                  "attention shape (3, 4) does not match feature grid (3, 3)", id="bgattn.bap_pool-attention"),
     pytest.param(lambda tmp: bap_pool(F, np.zeros((3, 3)), BBox(1, 0, 0, 4, 2)), "exceeds the 3x3 feature grid",
                  id="bgattn.bap_pool-box"),
+    pytest.param(lambda tmp: bap_pool(F, np.full((3, 3), 3.0), BBox(1, 0, 0, 2, 2)), "attention must lie in [0, 1]",
+                 id="bgattn.bap_pool-range"),
+    pytest.param(lambda tmp: bap_pool(F, np.full((3, 3), np.nan), BBox(1, 0, 0, 2, 2)), "attention must lie in [0, 1]",
+                 id="bgattn.bap_pool-nan"),
     pytest.param(lambda tmp: BoxSet(0, 4), "image dimensions must be >= 1", id="core.BoxSet-dims"),
     pytest.param(lambda tmp: resize_boxes(BoxSet(4, 4), 0, 2), "feature grid dimensions must be >= 1",
                  id="core.resize_boxes-grid"),

@@ -94,8 +94,9 @@ class TestConfidenceMap:
             assert np.all(lo <= hi + 1e-15)
 
     def test_gamma_below_one_rejected(self):
-        with pytest.raises(ValueError, match="gamma"):
-            confidence_map(np.ones((2, 2, 2)), np.zeros((2, 2), dtype=np.uint8), 0.5)
+        for gamma in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="gamma must be >= 1"):
+                confidence_map(np.ones((2, 2, 2)), np.zeros((2, 2), dtype=np.uint8), gamma)
 
     def test_ignore_labels_rejected(self):
         y = np.full((2, 2), IGNORE, dtype=np.uint8)

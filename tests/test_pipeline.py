@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -237,6 +238,19 @@ class TestStages:
         assert report["pseudo_labels"]["fused_coverage"] == pytest.approx(claimed / sum(g.size for g in gts))
         assert report["segmentation"] == scored(rows(out / "preds"), gts)
 
+    def test_eval_reads_each_map_once_and_no_fused_map(self, tmp_path, count_reads):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        synth_corpus(corpus, seed=1, num_images=12, size=64)
+        run_pipeline(_cfg(corpus, out))
+        report = (out / "metrics.json").read_bytes()
+        count_reads.clear()
+        pipeline.run_eval_stage(_cfg(corpus, out, stages=["eval"]))
+        assert count_reads == {("gt", ".pgm"): 12, ("crf", ".pgm"): 12, ("ret", ".pgm"): 12, ("features", ".btf"): 12,
+                               ("seg", ".btf"): 1, ("seg", ".json"): 1, ("corpus", ".json"): 1}
+        shutil.rmtree(out / "labels" / "fused")  # eval fuses the two maps it reads
+        pipeline.run_eval_stage(_cfg(corpus, out, stages=["eval"]))
+        assert (out / "metrics.json").read_bytes() == report
+
     def test_filling_rate_csv_is_well_formed(self, mini_corpus, tmp_path):
         out = tmp_path / "out"
         run_pipeline(_cfg(mini_corpus, out, stages=["train-head", "labels"]))
@@ -288,6 +302,28 @@ class TestFailedStageWritesNothing:
         message = f"{re.escape(str(head))} on image 0000: label out of range: value 3 .* with num_classes=2"
         with pytest.raises(ValueError, match=message):
             pipeline.run_eval_stage(_cfg(corpus, out, stages=["eval"]))
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize("case", ["missing-ret", "dot-head", "cosine-head-of-another-dim"])
+    def test_eval_input_error_names_its_file(self, tmp_path, capsys, case):
+        corpus, out, cfg_path = tmp_path / "corpus", tmp_path / "out", tmp_path / "cfg.json"
+        synth_corpus(corpus, seed=3, num_images=2, size=32, num_classes=3)  # features of 8 channels
+        head = out / "seg" / "seg_head.btf"
+        if case == "missing-ret":
+            run_pipeline(_cfg(corpus, out, stages=["train-head", "labels"], head_epochs=5))
+            missing = out / "labels" / "ret" / "0001.pgm"
+            missing.unlink()
+            message = f"stage 'eval': missing retrieval labels at {missing}"
+        elif case == "dot-head":
+            clshead.save_head(head, clshead.ClassifierHead(weights=np.ones((4, 8))))
+            message = f"{head} on image 0000: predictions need a cosine head (the segmentation head), got a 'dot' head"
+        else:
+            clshead.save_head(head, clshead.ClassifierHead(weights=np.ones((4, 5)), mode="cosine"))
+            message = f"{head} on image 0000: feature channels 8 do not match head dim 5"
+        cfg_path.write_text(_cfg(corpus, out, stages=["eval"]).to_json())
+        before = _tree(out)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
         assert _tree(out) == before
 
     def test_dead_labels_worker_is_an_error_that_writes_nothing(self, tmp_path, monkeypatch, capsys):
